@@ -126,6 +126,22 @@ CHAOS_SEEDS=8 cargo test --release -q --test chaos
 echo "==> scale smoke (1k units: bounded working set + bit-identical replay)"
 SCALE_UNITS=1000 cargo test --release -q --test scale
 
+echo "==> benchmark smoke (mode1_pipeline, 1 s: correct, no failed unit)"
+# Runs the BENCHMARK.json command on the Mode I workload; its own build
+# directory (.bench_build, git-ignored) keeps it apart from target/.
+CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload mode1_pipeline --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+assert d["correct"] is True, d
+assert d["failed"] == 0, d
+print("--- mode1_pipeline: %d units, %.0f units/s, %.0f allocs/unit"
+      % (d["attempted"], d["metrics"]["units_per_s"]["value"],
+         d["metrics"]["allocs_per_unit"]["value"]))
+'
+
 echo "==> pilot-kill smoke (failover to the surviving pilot, JSON-checked)"
 cargo run --release -q --example fault_injection 5 --pilot-kill --json \
     | python3 -c '

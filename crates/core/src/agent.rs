@@ -790,7 +790,8 @@ impl Agent {
     /// scheduler's sanity checks).
     fn validate(&self, unit: &UnitHandle) -> Result<(), String> {
         let inner = self.inner.borrow();
-        let d = unit.description();
+        let rec = unit.rec.borrow();
+        let d = &rec.descr;
         let spec = inner.machine.cluster.spec();
         match (&d.work, &inner.access) {
             (WorkSpec::MapReduce(_), RuntimeAccess::Yarn { .. }) => {}
@@ -911,15 +912,19 @@ impl Agent {
         }
         unit.rec.borrow_mut().attempts += 1;
         unit.advance(engine, UnitState::StagingInput);
-        let descr = unit.description();
-        let mut directives = descr.input_staging;
         // Pilot-Data dependencies not resident on this machine are pulled
         // over the inter-site network onto the parallel filesystem first.
         let (resource, wan) = {
             let inner = self.inner.borrow();
             (inner.machine.name.clone(), inner.cfg.inter_site_mbps)
         };
-        let remote = crate::data::remote_bytes(&descr.data_deps, &resource);
+        let (mut directives, remote) = {
+            let rec = unit.rec.borrow();
+            (
+                rec.descr.input_staging.clone(),
+                crate::data::remote_bytes(&rec.descr.data_deps, &resource),
+            )
+        };
         if remote > 0 {
             engine.metrics.add("agent.wan_pull_bytes", remote);
             engine.trace.record(
@@ -1048,7 +1053,7 @@ impl Agent {
             }
         };
         if faulted {
-            let retry = unit.description().retry;
+            let retry = unit.retry_policy();
             let attempts = unit.attempts();
             engine.trace.record(
                 engine.now(),
@@ -1109,14 +1114,15 @@ impl Agent {
             let inner = self.inner.borrow();
             let (m, s) = inner.cfg.exec_prep_s;
             let mut prep = engine.rng.normal_min(m, s, 0.01);
+            let rec = unit.rec.borrow();
             let method = launch::select(
                 inner.machine.cluster.spec(),
-                &unit.description(),
+                &rec.descr,
                 matches!(inner.access, RuntimeAccess::Yarn { .. }),
                 matches!(inner.access, RuntimeAccess::Spark { .. }),
             );
             prep += method.overhead_s();
-            if unit.description().mpi && method != LaunchMethod::Fork {
+            if rec.descr.mpi && method != LaunchMethod::Fork {
                 let (mm, ms) = inner.cfg.mpi_launch_s;
                 prep += engine.rng.normal_min(mm, ms, 0.01);
             }
@@ -1204,7 +1210,7 @@ impl Agent {
         alive: &Rc<Cell<bool>>,
         done: impl FnOnce(&mut Engine, Option<TransitionDraft>) + 'static,
     ) {
-        let d = unit.description();
+        let work = unit.rec.borrow().descr.work.clone();
         let inner = self.inner.borrow();
         let cluster = inner.machine.cluster.clone();
         let primary = nodes[0].0;
@@ -1248,7 +1254,7 @@ impl Agent {
             done(eng, draft);
         };
 
-        match d.work {
+        match work {
             WorkSpec::Sleep(dur) => {
                 // The scale hot path: one completion event per unit. It
                 // rides as a split event in the node's domain — the prepare
@@ -1339,8 +1345,16 @@ impl Agent {
             RuntimeAccess::Yarn { env, .. } => env.clone(),
             _ => unreachable!("yarn placement on non-yarn pilot"),
         };
-        let d = unit.description();
-        if let WorkSpec::MapReduce(spec) = d.work {
+        let (mr_spec, unit_cores, unit_mem_mb) = {
+            let rec = unit.rec.borrow();
+            let d = &rec.descr;
+            let spec = match &d.work {
+                WorkSpec::MapReduce(spec) => Some(spec.clone()),
+                _ => None,
+            };
+            (spec, d.cores, d.mem_mb)
+        };
+        if let Some(spec) = mr_spec {
             // A full MapReduce job: the MR AM drives its own containers.
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
@@ -1381,7 +1395,7 @@ impl Agent {
         };
         let this = self.clone();
         let req = ResourceRequest {
-            resource: Resource::new(d.cores.max(1), d.mem_mb),
+            resource: Resource::new(unit_cores.max(1), unit_mem_mb),
             preferred_node: None,
         };
         match reuse_am {
@@ -1451,7 +1465,7 @@ impl Agent {
                     // Pilot terminated; the UM owns this unit now.
                     return;
                 }
-                let policy = unit.description().retry;
+                let policy = unit.retry_policy();
                 let attempts = unit.attempts();
                 if attempts >= policy.max_attempts {
                     am.finish(eng);
@@ -1561,9 +1575,12 @@ impl Agent {
             RuntimeAccess::Spark { cluster } => cluster.clone(),
             _ => unreachable!("spark placement on non-spark pilot"),
         };
-        let d = unit.description();
+        let (work, unit_cores) = {
+            let rec = unit.rec.borrow();
+            (rec.descr.work.clone(), rec.descr.cores.max(1))
+        };
         // Full stage-DAG jobs run through the simulated Spark app model.
-        if let WorkSpec::SparkJob(spec) = d.work {
+        if let WorkSpec::SparkJob(spec) = work {
             let cluster = self.inner.borrow().machine.cluster.clone();
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
@@ -1592,14 +1609,14 @@ impl Agent {
             });
             return;
         }
-        let (cores, core_seconds) = match d.work {
+        let (cores, core_seconds) = match work {
             WorkSpec::SparkApp {
                 cores,
                 core_seconds,
             } => (cores, core_seconds),
             // Plain work on a Spark pilot runs as a trivial one-stage app.
-            WorkSpec::Sleep(dur) => (d.cores.max(1), dur.as_secs_f64() * d.cores.max(1) as f64),
-            _ => (d.cores.max(1), 0.0),
+            WorkSpec::Sleep(dur) => (unit_cores, dur.as_secs_f64() * unit_cores as f64),
+            _ => (unit_cores, 0.0),
         };
         let this = self.clone();
         let cluster = self.inner.borrow().machine.cluster.clone();
@@ -1682,7 +1699,7 @@ impl Agent {
             Some(d) => unit.advance_with(engine, UnitState::StagingOutput, d),
             None => unit.advance(engine, UnitState::StagingOutput),
         }
-        let directives = unit.description().output_staging;
+        let directives = unit.rec.borrow().descr.output_staging.clone();
         let primary = unit.exec_nodes().first().copied();
         let this = self.clone();
         let u2 = unit.clone();
@@ -1991,7 +2008,7 @@ impl Agent {
         if unit.state().is_final() {
             return;
         }
-        let retry = unit.description().retry;
+        let retry = unit.retry_policy();
         let attempts = unit.attempts();
         if attempts >= retry.max_attempts {
             unit.fail(
@@ -2060,7 +2077,8 @@ impl AgentInner {
                 if u.state().is_final() {
                     continue;
                 }
-                match self.expected_runtime(&u.description()) {
+                let est = self.expected_runtime(&u.rec.borrow().descr);
+                match est {
                     Some(est) if now + est + margin > deadline => drained.push(u),
                     _ => keep.push_back(u),
                 }
@@ -2074,6 +2092,24 @@ impl AgentInner {
         if matches!(self.access, RuntimeAccess::Plain) && self.slots.free_total == 0 {
             return None;
         }
+        // Framework capacity is read once per pass: nothing in the scan
+        // changes RM or Spark-master state, and the first placement ends it.
+        let free = match &self.access {
+            RuntimeAccess::Plain => Resource::new(0, 0),
+            RuntimeAccess::Yarn { env, .. } => {
+                let available = env.yarn.available();
+                Resource::new(
+                    available.vcores.saturating_sub(self.yarn_inflight.vcores),
+                    available.mem_mb.saturating_sub(self.yarn_inflight.mem_mb),
+                )
+            }
+            RuntimeAccess::Spark { cluster } => Resource::new(
+                cluster
+                    .free_cores()
+                    .saturating_sub(self.spark_inflight_cores),
+                0,
+            ),
+        };
         // Final (cancelled) units are dropped lazily as the scan reaches
         // them instead of a full `retain` sweep per call: the last call of
         // every scheduling round scans the whole queue (it returns `None`
@@ -2085,50 +2121,7 @@ impl AgentInner {
                 self.queue.remove(i);
                 continue;
             }
-            let d = self.queue[i].description();
-            let placement = match &self.access {
-                RuntimeAccess::Plain => self.place_on_nodes(&d),
-                RuntimeAccess::Yarn { env, .. } => {
-                    let state = env.yarn.cluster_state();
-                    let free_v = state
-                        .available
-                        .vcores
-                        .saturating_sub(self.yarn_inflight.vcores);
-                    let free_m = state
-                        .available
-                        .mem_mb
-                        .saturating_sub(self.yarn_inflight.mem_mb);
-                    // Gate: the unit's container + its AM must fit in what
-                    // is not already promised to in-flight units. MapReduce
-                    // jobs gate coarsely (AM + one container) — the MR AM
-                    // runs its own waves.
-                    let (need_v, need_m) = match &d.work {
-                        WorkSpec::MapReduce(spec) => {
-                            (1 + spec.container.vcores, 1536 + spec.container.mem_mb)
-                        }
-                        _ => (1 + d.cores.max(1), 1536 + d.mem_mb),
-                    };
-                    if need_v <= free_v && need_m <= free_m {
-                        Some(Placement::Yarn {
-                            vcores: need_v,
-                            mem_mb: need_m,
-                        })
-                    } else {
-                        None
-                    }
-                }
-                RuntimeAccess::Spark { cluster } => {
-                    let need = match &d.work {
-                        WorkSpec::SparkApp { cores, .. } => *cores,
-                        WorkSpec::SparkJob(spec) => spec.executor_cores.max(1),
-                        _ => d.cores.max(1),
-                    };
-                    let free = cluster
-                        .free_cores()
-                        .saturating_sub(self.spark_inflight_cores);
-                    (need <= free).then_some(Placement::Spark { cores: need })
-                }
-            };
+            let placement = self.place(&self.queue[i].rec.borrow().descr, free);
             if let Some(p) = placement {
                 // Reserve.
                 match &p {
@@ -2156,6 +2149,43 @@ impl AgentInner {
             i += 1;
         }
         None
+    }
+
+    /// Placement for one unit, given `free`: the framework capacity (YARN
+    /// vcores and memory, or Spark cores) not yet promised to in-flight
+    /// units. Plain pilots consult their own slots instead.
+    fn place(
+        &self,
+        d: &crate::description::ComputeUnitDescription,
+        free: Resource,
+    ) -> Option<Placement> {
+        match &self.access {
+            RuntimeAccess::Plain => self.place_on_nodes(d),
+            RuntimeAccess::Yarn { .. } => {
+                // Gate: the unit's container + its AM must fit in what is
+                // not already promised to in-flight units. MapReduce jobs
+                // gate coarsely (AM + one container) — the MR AM runs its
+                // own waves.
+                let (need_v, need_m) = match &d.work {
+                    WorkSpec::MapReduce(spec) => {
+                        (1 + spec.container.vcores, 1536 + spec.container.mem_mb)
+                    }
+                    _ => (1 + d.cores.max(1), 1536 + d.mem_mb),
+                };
+                (need_v <= free.vcores && need_m <= free.mem_mb).then_some(Placement::Yarn {
+                    vcores: need_v,
+                    mem_mb: need_m,
+                })
+            }
+            RuntimeAccess::Spark { .. } => {
+                let need = match &d.work {
+                    WorkSpec::SparkApp { cores, .. } => *cores,
+                    WorkSpec::SparkJob(spec) => spec.executor_cores.max(1),
+                    _ => d.cores.max(1),
+                };
+                (need <= free.vcores).then_some(Placement::Spark { cores: need })
+            }
+        }
     }
 
     /// Continuous scheduler: single-node first-fit for serial units,

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use rp_hpc::NodeId;
 use rp_sim::{Engine, SimDuration, SimTime, SpanId};
 
-use crate::description::ComputeUnitDescription;
+use crate::description::{ComputeUnitDescription, RetryPolicy};
 use crate::states::{Guarded, UnitState};
 
 /// Identifier of a Compute-Unit within a session.
@@ -167,6 +167,11 @@ impl UnitHandle {
 
     pub fn description(&self) -> ComputeUnitDescription {
         self.rec.borrow().descr.clone()
+    }
+
+    /// The unit's retry policy, read without cloning its description.
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
+        self.rec.borrow().descr.retry
     }
 
     /// Root lifecycle span ("unit.run"), for the phase profiler.

@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rp_hdfs::Hdfs;
+use rp_hdfs::{FileMeta, Hdfs, StoragePolicy};
 use rp_hpc::{Cluster, IoKind, IoPattern, NodeId, StorageTarget};
 use rp_sim::{Engine, SimDuration, SimTime, SpanId, MB};
 use rp_yarn::{Resource, ResourceRequest, YarnCluster};
@@ -169,8 +169,10 @@ pub fn run_on_yarn_in_span(
     parent: SpanId,
     done: impl FnOnce(&mut Engine, MrJobStats) + 'static,
 ) {
-    let blocks = hdfs
-        .block_locations(&spec.input_path)
+    // Block list and storage policy are read once per job: each map task
+    // reads its own block under the job's policy.
+    let FileMeta { blocks, policy, .. } = hdfs
+        .file_meta(&spec.input_path)
         .unwrap_or_else(|e| panic!("MR input missing: {e}"));
     assert!(!blocks.is_empty());
     if spec.shuffle == ShuffleBackend::LocalDisk {
@@ -229,7 +231,7 @@ pub fn run_on_yarn_in_span(
                 };
                 am.request_container(eng, req, move |eng, container| {
                     run_map_task(
-                        eng, cluster, hdfs, yarn, am2, spec, state, block, container, done,
+                        eng, cluster, hdfs, yarn, am2, spec, state, block, policy, container, done,
                     );
                 });
             }
@@ -247,15 +249,12 @@ fn run_map_task(
     spec: Rc<MrJobSpec>,
     state: Rc<RefCell<JobState>>,
     block: rp_hdfs::BlockMeta,
+    policy: StoragePolicy,
     container: rp_yarn::Container,
     done: DoneSlot,
 ) {
     let node = container.node;
     let input_bytes = block.size_bytes as f64;
-    let policy = hdfs
-        .file_meta(&spec.input_path)
-        .map(|f| f.policy)
-        .unwrap_or_default();
     // 1. Read the split (node-local when placement succeeded).
     let cluster2 = cluster.clone();
     let spec2 = spec.clone();

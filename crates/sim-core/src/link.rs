@@ -251,29 +251,26 @@ impl Inner {
         if n == 0 {
             return;
         }
-        // Sort flow ids by cap ascending; capped flows lock in first, the
-        // remainder is split among the rest.
-        let mut ids: Vec<u64> = self.flows.keys().copied().collect();
-        ids.sort_by(|a, b| {
-            let ca = self.flows[a].cap;
-            let cb = self.flows[b].cap;
-            ca.partial_cmp(&cb).unwrap().then(a.cmp(b))
-        });
+        // Flows by cap ascending; capped flows lock in first, the remainder
+        // is split among the rest. `values_mut` yields id order and the sort
+        // is stable, so ties stay in id order. Equal caps — the common case
+        // — are already sorted and skip the sort.
+        let mut flows: Vec<&mut Flow> = self.flows.values_mut().collect();
+        if !flows.is_sorted_by(|a, b| a.cap <= b.cap) {
+            flows.sort_by(|a, b| a.cap.total_cmp(&b.cap));
+        }
         let mut remaining_cap = self.capacity;
-        let mut remaining_flows = n;
-        for id in ids {
+        for (k, flow) in flows.into_iter().enumerate() {
             let share = if remaining_cap.is_finite() {
-                remaining_cap / remaining_flows as f64
+                remaining_cap / (n - k) as f64
             } else {
                 f64::INFINITY
             };
-            let flow = self.flows.get_mut(&id).unwrap();
             let rate = flow.cap.min(share);
             flow.rate = rate;
             if remaining_cap.is_finite() {
                 remaining_cap = (remaining_cap - rate).max(0.0);
             }
-            remaining_flows -= 1;
         }
     }
 
@@ -503,5 +500,86 @@ mod tests {
             expected
         );
         assert_eq!(link.in_flight(), 0);
+    }
+
+    /// Water-filling as written before flows were sorted in place: flow
+    /// ids sorted by `(cap, id)`, each taking its share in that order.
+    fn id_sort_rates(capacity: f64, caps: &BTreeMap<u64, f64>) -> BTreeMap<u64, f64> {
+        let mut ids: Vec<u64> = caps.keys().copied().collect();
+        ids.sort_by(|a, b| caps[a].partial_cmp(&caps[b]).unwrap().then(a.cmp(b)));
+        let mut rates = BTreeMap::new();
+        let mut remaining_cap = capacity;
+        let mut remaining_flows = ids.len();
+        for id in ids {
+            let share = if remaining_cap.is_finite() {
+                remaining_cap / remaining_flows as f64
+            } else {
+                f64::INFINITY
+            };
+            let rate = caps[&id].min(share);
+            rates.insert(id, rate);
+            if remaining_cap.is_finite() {
+                remaining_cap = (remaining_cap - rate).max(0.0);
+            }
+            remaining_flows -= 1;
+        }
+        rates
+    }
+
+    #[test]
+    fn recompute_rates_matches_id_sort_water_filling_bit_for_bit() {
+        let mut rng = crate::rng::SimRng::new(0xFA1E);
+        for case in 0..2_000 {
+            let capacity = match rng.index(4) {
+                0 => f64::INFINITY,
+                1 => rng.uniform(1.0, 100.0),
+                _ => rng.uniform(1e6, 1e10),
+            };
+            // A few shared cap values make ties common, as on the fabric.
+            let palette = [rng.uniform(1.0, 1e9), rng.uniform(1.0, 1e9), f64::INFINITY];
+            let mut caps = BTreeMap::new();
+            let mut id = 0u64;
+            for _ in 0..rng.index(48) {
+                id += 1 + rng.index(3) as u64; // sparse ids, as after finishes
+                let cap = match rng.index(3) {
+                    0 => rng.uniform(1.0, 1e10),
+                    _ => palette[rng.index(palette.len())],
+                };
+                caps.insert(id, cap);
+            }
+            let mut inner = Inner {
+                name: "prop".into(),
+                capacity,
+                flows: caps
+                    .iter()
+                    .map(|(&id, &cap)| {
+                        let flow = Flow {
+                            remaining: 1.0,
+                            cap,
+                            rate: 0.0,
+                            done: None,
+                        };
+                        (id, flow)
+                    })
+                    .collect(),
+                next_id: id + 1,
+                last_advance: SimTime::ZERO,
+                generation: 0,
+                pending: None,
+                total_bytes: 0.0,
+                busy_time: SimDuration::ZERO,
+            };
+            inner.recompute_rates();
+            let want = id_sort_rates(capacity, &caps);
+            for (id, flow) in &inner.flows {
+                assert_eq!(
+                    flow.rate.to_bits(),
+                    want[id].to_bits(),
+                    "case {case}: flow {id} rate {} vs {} (capacity {capacity})",
+                    flow.rate,
+                    want[id]
+                );
+            }
+        }
     }
 }

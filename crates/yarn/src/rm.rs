@@ -159,6 +159,12 @@ struct RmInner {
     apps: BTreeMap<AppId, App>,
     containers: BTreeMap<ContainerId, Container>,
     pending: VecDeque<Pending>,
+    /// Vcores held by the AM containers of live apps (the `maxAMShare`
+    /// numerator), maintained on AM placement and release.
+    am_vcores_held: u32,
+    /// Live apps holding an AM container (the Capacity policy's admitted
+    /// count), maintained on AM placement and app finish.
+    apps_admitted: u32,
     next_app: u64,
     next_container: u64,
     rr_cursor: usize,
@@ -210,6 +216,8 @@ impl YarnCluster {
                 apps: BTreeMap::new(),
                 containers: BTreeMap::new(),
                 pending: VecDeque::new(),
+                am_vcores_held: 0,
+                apps_admitted: 0,
                 next_app: 0,
                 next_container: 0,
                 rr_cursor: 0,
@@ -341,6 +349,18 @@ impl YarnCluster {
             containers_running: inner.containers.len() as u32,
             per_node,
         }
+    }
+
+    /// Free cluster resources: the `available` field of
+    /// [`YarnCluster::cluster_state`] in O(nodes), without walking apps or
+    /// allocating.
+    pub fn available(&self) -> Resource {
+        let inner = self.inner.borrow();
+        let mut available = Resource::new(0, 0);
+        for nm in &inner.nms {
+            available.add(&nm.free);
+        }
+        available
     }
 
     /// Reclaim up to `n` task containers (newest first, AMs never), as
@@ -499,7 +519,13 @@ impl YarnCluster {
     }
 
     /// One heartbeat round: walk pending requests FIFO and place what fits.
+    ///
+    /// Within a round node free space only shrinks, the AM share and the
+    /// admitted count only grow and `waited_ticks` is fixed, so a request
+    /// skipped once stays unplaceable until the next round: each scan
+    /// resumes where the last placement was taken instead of at the head.
     fn tick(&self, engine: &mut Engine) {
+        let mut from = 0;
         loop {
             // Pop the first placeable request; hold the borrow only briefly.
             let placed = {
@@ -507,10 +533,13 @@ impl YarnCluster {
                 if inner.stopped {
                     return;
                 }
-                inner.place_one()
+                inner.place_one(from)
             };
             match placed {
-                Some((pending, container)) => self.launch(engine, pending, container),
+                Some((pi, pending, container)) => {
+                    from = pi;
+                    self.launch(engine, pending, container);
+                }
                 None => break,
             }
         }
@@ -601,7 +630,8 @@ impl YarnCluster {
 
     fn finish_app(&self, engine: &mut Engine, id: AppId, state: AppState) {
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut guard = self.inner.borrow_mut();
+            let inner = &mut *guard;
             let app = match inner.apps.get_mut(&id) {
                 Some(a) if !a.state.is_final() => a,
                 _ => return,
@@ -609,6 +639,10 @@ impl YarnCluster {
             app.state = state;
             let mut to_free: Vec<ContainerId> = app.containers.iter().copied().collect();
             if let Some(am) = app.am_container.take() {
+                inner.apps_admitted -= 1;
+                if let Some(c) = inner.containers.get(&am) {
+                    inner.am_vcores_held -= c.resource.vcores;
+                }
                 to_free.push(am);
             }
             app.containers.clear();
@@ -637,58 +671,18 @@ impl AppState {
 
 impl RmInner {
     /// Find and reserve a placement for the first satisfiable pending
-    /// request (FIFO with locality delay). Returns the request + container.
-    fn place_one(&mut self) -> Option<(Pending, Container)> {
-        let cap_ok = |inner: &RmInner, p: &Pending| match inner.config.scheduler {
-            SchedulerPolicy::Fifo | SchedulerPolicy::Fair => true,
-            SchedulerPolicy::Capacity {
-                max_concurrent_apps,
-            } => {
-                // AM requests gate app concurrency; task requests belong to
-                // already-running apps.
-                if matches!(p.kind, ReqKind::Am(_)) {
-                    // Gate on AM *allocation*, not AM launch completion —
-                    // otherwise two AMs could be placed within one launch
-                    // window.
-                    let admitted = inner
-                        .apps
-                        .values()
-                        .filter(|a| !a.state.is_final() && a.am_container.is_some())
-                        .count() as u32;
-                    admitted < max_concurrent_apps
-                } else {
-                    true
-                }
-            }
-        };
-
-        // maxAMShare: refuse AM placements that would let AMs starve task
-        // containers of every vcore (the AM-deadlock guard).
+    /// request at or after index `from` (FIFO with locality delay; the
+    /// Fair policy re-sorts and always scans everything). Returns the
+    /// request's queue index, the request and its container.
+    fn place_one(&mut self, from: usize) -> Option<(usize, Pending, Container)> {
         let total_vcores: u32 = self.nms.iter().map(|nm| nm.total.vcores).sum();
-        let am_vcores_held: u32 = self
-            .apps
-            .values()
-            .filter(|a| !a.state.is_final())
-            .filter_map(|a| a.am_container)
-            .filter_map(|cid| self.containers.get(&cid))
-            .map(|c| c.resource.vcores)
-            .sum();
-        let am_share_ok = |p: &Pending| {
-            if !matches!(p.kind, ReqKind::Am(_)) {
-                return true;
-            }
-            (am_vcores_held + p.resource.vcores) as f64
-                <= self.config.max_am_share * total_vcores as f64
-        };
-
-        let locality_delay = self.config.locality_delay_ticks;
-        let n = self.nms.len();
-        // Scan order: FIFO by default; the Fair policy walks requests of
-        // container-poor apps first (AM requests keep FIFO priority).
-        let order: Vec<usize> = match self.config.scheduler {
+        let fit = |pi: usize| self.fit(pi, total_vcores).map(|ni| (pi, ni));
+        let chosen = match self.config.scheduler {
+            // The Fair policy walks requests of container-poor apps first
+            // (AM requests keep FIFO priority).
             SchedulerPolicy::Fair => {
-                let mut idx: Vec<usize> = (0..self.pending.len()).collect();
-                idx.sort_by_key(|&i| {
+                let mut order: Vec<usize> = (0..self.pending.len()).collect();
+                order.sort_by_key(|&i| {
                     let p = &self.pending[i];
                     let held = self
                         .apps
@@ -698,41 +692,12 @@ impl RmInner {
                     let is_am = matches!(p.kind, ReqKind::Am(_));
                     (!is_am as usize, held, i)
                 });
-                idx
+                order.into_iter().find_map(fit)
             }
-            _ => (0..self.pending.len()).collect(),
+            _ => (from..self.pending.len()).find_map(fit),
         };
-        let mut chosen: Option<(usize, usize)> = None; // (pending idx, nm idx)
-        for pi in order {
-            let p = &self.pending[pi];
-            if !cap_ok(self, p) || !am_share_ok(p) {
-                continue;
-            }
-            // Preferred node first.
-            if let Some(pref) = p.preferred {
-                if let Some(ni) = self.nms.iter().position(|nm| nm.node == pref) {
-                    if p.resource.fits_in(&self.nms[ni].free) {
-                        chosen = Some((pi, ni));
-                        break;
-                    }
-                }
-                if p.waited_ticks < locality_delay {
-                    continue; // keep waiting for locality
-                }
-            }
-            // Any node, round-robin from the cursor for spread.
-            for k in 0..n {
-                let ni = (self.rr_cursor + k) % n;
-                if p.resource.fits_in(&self.nms[ni].free) {
-                    chosen = Some((pi, ni));
-                    break;
-                }
-            }
-            if chosen.is_some() {
-                break;
-            }
-        }
         let (pi, ni) = chosen?;
+        let n = self.nms.len();
         let pending = self.pending.remove(pi).unwrap();
         self.rr_cursor = (ni + 1) % n;
         self.nms[ni].free.sub(&pending.resource);
@@ -752,17 +717,71 @@ impl RmInner {
                 }
                 ReqKind::Am(_) => {
                     app.am_container = Some(cid);
+                    self.am_vcores_held += pending.resource.vcores;
+                    self.apps_admitted += 1;
                 }
             }
         }
-        Some((pending, container))
+        Some((pi, pending, container))
     }
 
+    /// The node pending request `pi` can be placed on now, if any, on a
+    /// cluster of `total_vcores`.
+    fn fit(&self, pi: usize, total_vcores: u32) -> Option<usize> {
+        let p = &self.pending[pi];
+        if matches!(p.kind, ReqKind::Am(_)) {
+            // AM requests gate app concurrency; task requests belong to
+            // already-running apps. Gate on AM *allocation*, not AM launch
+            // completion — otherwise two AMs could be placed within one
+            // launch window.
+            if let SchedulerPolicy::Capacity {
+                max_concurrent_apps,
+            } = self.config.scheduler
+            {
+                if self.apps_admitted >= max_concurrent_apps {
+                    return None;
+                }
+            }
+            // maxAMShare: refuse AM placements that would let AMs starve
+            // task containers of every vcore (the AM-deadlock guard).
+            if (self.am_vcores_held + p.resource.vcores) as f64
+                > self.config.max_am_share * total_vcores as f64
+            {
+                return None;
+            }
+        }
+        // Preferred node first.
+        if let Some(pref) = p.preferred {
+            if let Some(ni) = self.nms.iter().position(|nm| nm.node == pref) {
+                if p.resource.fits_in(&self.nms[ni].free) {
+                    return Some(ni);
+                }
+            }
+            if p.waited_ticks < self.config.locality_delay_ticks {
+                return None; // keep waiting for locality
+            }
+        }
+        // Any node, round-robin from the cursor for spread.
+        let n = self.nms.len();
+        (0..n)
+            .map(|k| (self.rr_cursor + k) % n)
+            .find(|&ni| p.resource.fits_in(&self.nms[ni].free))
+    }
+
+    /// Return a container's resources to its node. Freeing the AM container
+    /// of a live app also takes its vcores out of the AM share.
     fn free_container(&mut self, id: ContainerId) {
         self.preempt_handlers.remove(&id);
         if let Some(c) = self.containers.remove(&id) {
             if let Some(nm) = self.nms.iter_mut().find(|nm| nm.node == c.node) {
                 nm.free.add(&c.resource);
+            }
+            let live_am = self
+                .apps
+                .get(&c.app)
+                .is_some_and(|a| !a.state.is_final() && a.am_container == Some(id));
+            if live_am {
+                self.am_vcores_held -= c.resource.vcores;
             }
         }
     }
@@ -1469,6 +1488,197 @@ mod tests {
         let r = yarn.app_report(&e, id);
         assert_eq!(r.state, AppState::Finished);
         assert_eq!(r.running_containers, 0);
+    }
+
+    /// From-scratch AM-vcore total and admitted-app count: what `place_one`
+    /// computed by walking every app before the counters were maintained.
+    fn recount(yarn: &YarnCluster) -> (u32, u32) {
+        let inner = yarn.inner.borrow();
+        let live_ams = || {
+            inner
+                .apps
+                .values()
+                .filter(|a| !a.state.is_final())
+                .filter_map(|a| a.am_container)
+        };
+        let held = live_ams()
+            .filter_map(|cid| inner.containers.get(&cid))
+            .map(|c| c.resource.vcores)
+            .sum();
+        (held, live_ams().count() as u32)
+    }
+
+    fn assert_accounting(yarn: &YarnCluster, ctx: &str) {
+        let kept = {
+            let inner = yarn.inner.borrow();
+            (inner.am_vcores_held, inner.apps_admitted)
+        };
+        assert_eq!(kept, recount(yarn), "(AM vcores, admitted) after {ctx}");
+    }
+
+    #[test]
+    fn am_share_and_admitted_counters_match_recount() {
+        use rp_sim::SimRng;
+        let policies = [
+            SchedulerPolicy::Fifo,
+            SchedulerPolicy::Capacity {
+                max_concurrent_apps: 3,
+            },
+            SchedulerPolicy::Fair,
+        ];
+        for policy in policies {
+            for seed in 1..=12u64 {
+                let mut e = Engine::new(seed);
+                let mut rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9) ^ 0xACC0);
+                let cluster = Cluster::new(MachineSpec::localhost());
+                let nodes: Vec<NodeId> = cluster.node_ids().collect();
+                let mut cfg = YarnConfig::test_profile();
+                cfg.scheduler = policy;
+                let yarn = YarnCluster::start(&mut e, &cluster, &nodes, cfg);
+                // AM handles of started apps and the task containers granted.
+                let ams: Rc<RefCell<Vec<AmHandle>>> = Rc::new(RefCell::new(Vec::new()));
+                let held: Rc<RefCell<Vec<(AmHandle, ContainerId)>>> =
+                    Rc::new(RefCell::new(Vec::new()));
+                let mut apps = Vec::new();
+                for step in 0..150 {
+                    let live: Vec<AmHandle> = ams
+                        .borrow()
+                        .iter()
+                        .filter(|am| !yarn.app_state(am.app_id()).is_final())
+                        .cloned()
+                        .collect();
+                    let op = rng.index(8);
+                    match op {
+                        0 | 1 => {
+                            let ams = ams.clone();
+                            let vcores = rng.uniform_u64(1, 2) as u32;
+                            apps.push(yarn.submit_app(
+                                &mut e,
+                                format!("a{step}"),
+                                ResourceRequest::new(vcores, 1024),
+                                move |_, am| ams.borrow_mut().push(am),
+                            ));
+                        }
+                        2 if !live.is_empty() => {
+                            let am = live[rng.index(live.len())].clone();
+                            let mut req = ResourceRequest::new(
+                                rng.uniform_u64(1, 4) as u32,
+                                1024 * rng.uniform_u64(1, 4),
+                            );
+                            if rng.chance(0.3) {
+                                req = req.on_node(nodes[rng.index(nodes.len())]);
+                            }
+                            let (h, am2) = (held.clone(), am.clone());
+                            let on_alloc = move |_: &mut Engine, c: Container| {
+                                h.borrow_mut().push((am2, c.id));
+                            };
+                            if rng.chance(0.5) {
+                                am.request_container_preemptible(&mut e, req, |_, _| {}, on_alloc);
+                            } else {
+                                am.request_container(&mut e, req, on_alloc);
+                            }
+                        }
+                        3 if !held.borrow().is_empty() => {
+                            let i = rng.index(held.borrow().len());
+                            let (am, cid) = held.borrow_mut().swap_remove(i);
+                            am.release_container(&mut e, cid);
+                        }
+                        4 => {
+                            yarn.preempt(&mut e, rng.uniform_u64(1, 3) as usize);
+                        }
+                        5 if yarn.nodes().len() > 2 => {
+                            let alive = yarn.nodes();
+                            yarn.fail_node(&mut e, alive[rng.index(alive.len())]);
+                        }
+                        6 if !apps.is_empty() => {
+                            yarn.kill_app(&mut e, apps[rng.index(apps.len())]);
+                        }
+                        7 if !live.is_empty() => {
+                            let am = &live[rng.index(live.len())];
+                            if rng.chance(0.2) {
+                                // An AM handing back its own container: the
+                                // app stays admitted but leaves the AM share.
+                                let am_cid = yarn.inner.borrow().apps[&am.app_id()].am_container;
+                                if let Some(cid) = am_cid {
+                                    am.release_container(&mut e, cid);
+                                }
+                            } else {
+                                am.finish(&mut e);
+                            }
+                        }
+                        _ => {}
+                    }
+                    let ctx = format!("{policy:?} seed {seed} step {step} op {op}");
+                    assert_accounting(&yarn, &ctx);
+                    for _ in 0..rng.index(24) {
+                        if !e.step() {
+                            break;
+                        }
+                        assert_accounting(&yarn, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_size_queue_grant_order_is_pinned() {
+        // One 8-vcore node; the AM takes one vcore and queues five task
+        // requests at once. The first heartbeat grants A (4), skips B (4),
+        // grants C (2) and D (1) and leaves E (2) with nothing free; A's
+        // release lets B in, C's release lets E in.
+        let run = |policy: SchedulerPolicy| -> Vec<(char, SimTime)> {
+            let mut e = Engine::new(1);
+            let cluster = Cluster::new(MachineSpec::localhost());
+            let nodes: Vec<NodeId> = cluster.node_ids().take(1).collect();
+            let mut cfg = YarnConfig::test_profile();
+            cfg.scheduler = policy;
+            let yarn = YarnCluster::start(&mut e, &cluster, &nodes, cfg);
+            let grants = Rc::new(RefCell::new(Vec::new()));
+            let g = grants.clone();
+            yarn.submit_app(
+                &mut e,
+                "mixed",
+                ResourceRequest::new(1, 1024),
+                move |eng, am| {
+                    let hold = |tag| match tag {
+                        'A' => Some(5),
+                        'C' => Some(10),
+                        _ => None,
+                    };
+                    for (tag, vcores) in [('A', 4), ('B', 4), ('C', 2), ('D', 1), ('E', 2)] {
+                        let (g, am2) = (g.clone(), am.clone());
+                        let req = ResourceRequest::new(vcores, 1024);
+                        am.request_container(eng, req, move |eng, c| {
+                            g.borrow_mut().push((tag, eng.now()));
+                            if let Some(secs) = hold(tag) {
+                                eng.schedule_in(SimDuration::from_secs(secs), move |eng| {
+                                    am2.release_container(eng, c.id);
+                                });
+                            }
+                        });
+                    }
+                },
+            );
+            e.run_until(SimTime::from_secs_f64(30.0));
+            let out = grants.borrow().clone();
+            out
+        };
+        for policy in [
+            SchedulerPolicy::Fifo,
+            SchedulerPolicy::Capacity {
+                max_concurrent_apps: 1,
+            },
+        ] {
+            let grants = run(policy);
+            let tags: String = grants.iter().map(|&(t, _)| t).collect();
+            assert_eq!(tags, "ACDBE", "{policy:?}: {grants:?}");
+            // A, C and D land on the same heartbeat.
+            assert_eq!(grants[0].1, grants[1].1);
+            assert_eq!(grants[1].1, grants[2].1);
+            assert!(grants[3].1.since(grants[0].1).as_secs_f64() >= 5.0);
+            assert!(grants[4].1.since(grants[0].1).as_secs_f64() >= 10.0);
+        }
     }
 
     #[test]

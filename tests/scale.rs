@@ -15,9 +15,17 @@
 //! `SCALE_UNITS` overrides the unit count: ci.sh runs a 1k smoke in
 //! release, and `CI_SCALE=1` drives a 100k-unit run through the same
 //! assertions (see ci.sh).
+//!
+//! A second, fixed-size tier drives the framework path: one Mode I
+//! YARN+HDFS pilot runs 2000 YARN-wrapped sleep units and one 512-map
+//! MapReduce job. It is cheap only while the agent scheduler, the RM and
+//! `FairLink` do per-event work independent of history and queue length.
 
+use hadoop_hpc::hdfs::StoragePolicy;
+use hadoop_hpc::mapreduce::{MrCostModel, MrJobSpec, ShuffleBackend};
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
+use hadoop_hpc::sim::{Engine, MetricsRegistry, SimDuration, SimTime};
+use hadoop_hpc::yarn::{AppId, AppState, Resource};
 
 fn scale_units() -> usize {
     std::env::var("SCALE_UNITS")
@@ -139,4 +147,132 @@ fn scale_run_completes_bounded_and_replays_bit_identically() {
     let done_times =
         |us: &[UnitHandle]| -> Vec<Option<SimTime>> { us.iter().map(|u| u.times().done).collect() };
     assert_eq!(done_times(&units), done_times(&units2));
+}
+
+const MODE1_UNITS: usize = 2_000;
+const MODE1_MAPS: u32 = 512;
+/// Events a seed-`MODE1_SEED` Mode I run executes; any change to the
+/// simulated behaviour of the framework path moves it.
+const MODE1_SEED: u64 = 0x40DE1;
+const MODE1_EVENTS: u64 = 24_173;
+
+struct Mode1Run {
+    engine: Engine,
+    units: Vec<UnitHandle>,
+    pilot: PilotHandle,
+    session: Session,
+}
+
+/// The MapReduce job first, then `MODE1_UNITS` one-core sleep units, all
+/// through one Mode I YARN+HDFS pilot on 16 nodes.
+fn mode1_run(seed: u64) -> Mode1Run {
+    // Metrics on (they count the side effects), span recording off.
+    let mut e = Engine::new(seed);
+    e.metrics = MetricsRegistry::enabled();
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 16, SimDuration::from_secs(7 * 86_400))
+                .with_access(AccessMode::YarnModeI { with_hdfs: true }),
+        )
+        .expect("Mode I pilot submits");
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    while pilot.state() != PilotState::Active {
+        assert!(e.step(), "pilot drained before becoming Active");
+    }
+    let hdfs = pilot
+        .agent()
+        .and_then(|a| a.hadoop_env())
+        .and_then(|env| env.hdfs)
+        .expect("the Mode I pilot runs HDFS");
+    let block = 40 * 1024 * 1024;
+    hdfs.create_synthetic_with_blocks(
+        "/in/job",
+        MODE1_MAPS as u64 * block,
+        StoragePolicy::Default,
+        MODE1_MAPS,
+    )
+    .expect("fresh HDFS path");
+    let mut descs = vec![ComputeUnitDescription::new(
+        "mr",
+        1,
+        WorkSpec::MapReduce(MrJobSpec {
+            name: "job".into(),
+            input_path: "/in/job".into(),
+            num_reducers: 4,
+            container: Resource::new(1, 1024),
+            shuffle: ShuffleBackend::LocalDisk,
+            cost: MrCostModel::default(),
+        }),
+    )];
+    descs.extend((0..MODE1_UNITS).map(|i| {
+        ComputeUnitDescription::new(
+            format!("y{i}"),
+            1,
+            WorkSpec::Sleep(SimDuration::from_secs(50 + (i as u64 % 21))),
+        )
+    }));
+    let units = um.submit_units(&mut e, descs);
+    let (sess, p) = (session.clone(), pilot.clone());
+    when_all_done(&mut e, &units, move |eng| {
+        PilotManager::new(&sess).cancel(eng, &p);
+    });
+    e.run();
+    Mode1Run {
+        engine: e,
+        units,
+        pilot,
+        session,
+    }
+}
+
+#[test]
+fn mode1_framework_run_completes_exactly_once_and_replays_bit_identically() {
+    let run = mode1_run(MODE1_SEED);
+    let (e, units) = (&run.engine, &run.units);
+    let n = units.len();
+
+    // Every unit Done, each on its first attempt.
+    assert!(
+        units.iter().all(|u| u.state() == UnitState::Done),
+        "every unit must reach Done"
+    );
+    assert!(
+        units.iter().all(|u| u.attempts() == 1),
+        "fault-free run must not retry"
+    );
+
+    // Exactly-once side effects: one agent completion per unit, every
+    // duplicated coordination message ignored on apply, one YARN
+    // application per unit (numbered from 0) that finished, and one map
+    // task per HDFS block.
+    let agent = run.pilot.agent().expect("pilot ran an agent");
+    assert_eq!(agent.units_completed(), n as u64);
+    assert_eq!(e.metrics.counter("agent.units_completed"), n as u64);
+    let store = run.session.store();
+    assert_eq!(store.dup_applies_ignored(), store.msgs_duplicated());
+    let yarn = agent.hadoop_env().expect("Mode I pilot runs YARN").yarn;
+    assert_eq!(e.metrics.counter("yarn.apps_submitted"), n as u64);
+    let finished = (0..n as u64)
+        .filter(|&i| yarn.app_report(e, AppId(i)).state == AppState::Finished)
+        .count();
+    assert_eq!(finished, n, "one finished YARN application per unit");
+    let stats = units[0].mr_stats().expect("MapReduce unit reports stats");
+    assert_eq!(stats.maps, MODE1_MAPS as usize);
+    assert_eq!(e.metrics.counter("mr.map_tasks"), MODE1_MAPS as u64);
+
+    // Pinned behaviour: the event count of this seed.
+    assert_eq!(e.events_executed(), MODE1_EVENTS, "events executed");
+
+    // Bit-identical replay.
+    let again = mode1_run(MODE1_SEED);
+    assert_eq!(e.metrics.snapshot(), again.engine.metrics.snapshot());
+    assert_eq!(e.events_executed(), again.engine.events_executed());
+    assert_eq!(e.now(), again.engine.now());
+    let done_times =
+        |us: &[UnitHandle]| -> Vec<Option<SimTime>> { us.iter().map(|u| u.times().done).collect() };
+    assert_eq!(done_times(units), done_times(&again.units));
 }
