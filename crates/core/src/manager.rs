@@ -268,6 +268,13 @@ impl PilotManager {
                     session.config(),
                     session.store(),
                     move |eng, agent| {
+                        if h2.state().is_final() {
+                            // A pilot kill failed the pilot while its agent
+                            // bootstrapped: the late activation must not
+                            // resurrect it. Deregister the agent instead.
+                            agent.stop(eng);
+                            return;
+                        }
                         h2.rec.borrow_mut().agent = Some(agent);
                         h2.advance(eng, PilotState::Active);
                     },
@@ -838,11 +845,6 @@ impl UnitManager {
             (gap, tick)
         };
         let this = self.clone();
-        // The gap monitor is the UM's fastest reaction to agent-side
-        // state: its tick period is a cross-domain coupling interval, so
-        // register it as lookahead. (The monitor itself stays in
-        // Domain::GLOBAL — it reads every pilot.)
-        engine.note_lookahead_from("um.gap_monitor", tick);
         engine.schedule_in(tick, move |eng| {
             this.inner.borrow_mut().monitor_armed = false;
             this.monitor_tick(eng, gap);

@@ -17,27 +17,6 @@ pub struct UnitId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PilotId(pub u64);
 
-/// Preformatted observability strings for one state transition (the
-/// labelled transition counter key and the trace record message). A split
-/// event's prepare closure builds this off-thread — it only needs the
-/// `Copy` + `Send` unit id and target state — and the apply closure feeds
-/// it to [`UnitHandle::advance_with`]; the serial `advance` path builds
-/// the identical draft inline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransitionDraft {
-    metric: String,
-    record: String,
-}
-
-impl TransitionDraft {
-    pub fn format(unit: UnitId, next: UnitState) -> TransitionDraft {
-        TransitionDraft {
-            metric: rp_sim::metric_key("unit.transitions", &[("state", &format!("{next:?}"))]),
-            record: format!("{unit:?} -> {next:?}"),
-        }
-    }
-}
-
 /// Milestones of a unit's life (all virtual time), used by the Fig. 5
 /// startup study.
 #[derive(Debug, Clone, Copy, Default)]
@@ -208,20 +187,6 @@ impl UnitHandle {
     }
 
     pub(crate) fn advance(&self, engine: &mut Engine, next: UnitState) {
-        let draft = TransitionDraft::format(self.id(), next);
-        self.advance_with(engine, next, draft);
-    }
-
-    /// [`UnitHandle::advance`] with the observability strings supplied by
-    /// the caller — the hook that lets a split event's prepare closure do
-    /// the `format!` work off-thread. `advance` builds the identical draft
-    /// inline, so the two paths are indistinguishable in the trace.
-    pub(crate) fn advance_with(
-        &self,
-        engine: &mut Engine,
-        next: UnitState,
-        draft: TransitionDraft,
-    ) {
         let waiters = {
             let mut rec = self.rec.borrow_mut();
             rec.state.advance(next);
@@ -307,8 +272,10 @@ impl UnitHandle {
                 Vec::new()
             }
         };
-        engine.metrics.add(&draft.metric, 1);
-        engine.trace.record(engine.now(), "unit", draft.record);
+        let metric = rp_sim::metric_key("unit.transitions", &[("state", &format!("{next:?}"))]);
+        engine.metrics.add(&metric, 1);
+        let record = format!("{:?} -> {next:?}", self.id());
+        engine.trace.record(engine.now(), "unit", record);
         for w in waiters {
             w(engine);
         }

@@ -20,7 +20,7 @@
 //!     plan, loss probabilities at zero — is bit-identical to a run
 //!     without the chaos machinery at all.
 //!
-//! `CHAOS_SEEDS` overrides the number of scenarios (default 32;
+//! `CHAOS_SEEDS` overrides the number of scenarios (default 1024;
 //! `ci.sh` quick mode uses 8).
 
 use hadoop_hpc::pilot::*;
@@ -165,7 +165,7 @@ fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
+        .unwrap_or(1024)
 }
 
 fn check_invariants(seed: u64, out: &Outcome) {
@@ -229,6 +229,17 @@ fn chaos_soak() {
         any_failed * 4 < total_units,
         "{any_failed}/{total_units} units failed — recovery is not pulling its weight"
     );
+}
+
+#[test]
+fn pilot_killed_mid_bootstrap_stays_failed() {
+    // Seed 33 kills a pilot while its agent is still bootstrapping. The
+    // bootstrap continuation must not activate the already-Failed pilot
+    // (an illegal `Failed -> Active` transition); the pilot stays Failed
+    // and its agent takes no work.
+    let out = chaos_run(33, Mode::Chaos);
+    assert!(out.faults_injected > 0, "seed 33: plan injected nothing");
+    check_invariants(33, &out);
 }
 
 #[test]

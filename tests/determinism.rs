@@ -1,11 +1,19 @@
 //! Bit-reproducibility of full-stack runs: the headline guarantee of the
-//! deterministic simulation core.
+//! deterministic simulation core. The same seed run twice must give the
+//! same unit timeline, span census, instant events, metrics snapshot,
+//! unit states and coordination-store applied-effect log — for plain
+//! runs, every bench scenario, and fault, lossy-store, partition and
+//! chaos captures.
 
 use hadoop_hpc::analytics::{
     fig6_session_config, run_rp_kmeans, run_rp_yarn_kmeans, KMeansCalibration, SCENARIOS,
 };
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, SimDuration, SimTime};
+use hadoop_hpc::sim::{
+    Engine, FaultEvent, FaultKind, FaultPlan, MetricsSnapshot, SimDuration, SimTime, Span,
+    TraceEvent,
+};
+use rp_bench::harness::run_scenario;
 
 /// A full mixed workload; returns every unit's (startup, done) pair.
 fn mixed_run(seed: u64) -> Vec<(SimTime, SimTime)> {
@@ -142,4 +150,263 @@ fn native_analytics_are_seed_deterministic() {
     // merge of partial sums).
     assert_eq!(a.cost.to_bits(), b.cost.to_bits());
     assert_eq!(a.centroids, b.centroids);
+}
+
+// ---------------------------------------------------------------------
+// Bench scenarios: the exact virtual JSON the regression gate diffs.
+// ---------------------------------------------------------------------
+
+#[test]
+fn bench_scenarios_rerun_bit_identical() {
+    // scale_10k is excluded for runtime only; it shares scale_1k's code.
+    for scenario in [
+        "fig5_startup",
+        "fig5_unit_startup",
+        "fig6_kmeans",
+        "fault_matrix",
+        "pilot_loss",
+        "partition_heal",
+        "scale_1k",
+    ] {
+        let first = run_scenario(scenario).to_json();
+        let second = run_scenario(scenario).to_json();
+        assert_eq!(
+            first, second,
+            "{scenario}: virtual result differs on re-run"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Full-capture scenarios: spans, events, metrics, states, effect log.
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Copy)]
+struct Scenario {
+    /// Mixed-fault plan: `Some((seed, count))` installs
+    /// `FaultPlan::generate_mixed` on both pilots.
+    faults: Option<(u64, usize)>,
+    /// Lossy coordination store (drops, duplicates, delivery jitter).
+    lossy: bool,
+    /// Lease-based ownership plus a partitioned fault plan: the victim
+    /// pilot self-fences, its units re-bind, and its held writes are
+    /// rejected at a stale fencing epoch after the heal.
+    partition: bool,
+}
+
+struct Outcome {
+    states: Vec<UnitState>,
+    events: Vec<TraceEvent>,
+    spans: Vec<Span>,
+    metrics: MetricsSnapshot,
+    /// Applied coordination effects `(time, seq, label)`.
+    effects: Vec<(SimTime, u64, &'static str)>,
+    rebinds: u64,
+    /// Store writes rejected at a stale fencing epoch.
+    fence_rejections: u64,
+}
+
+/// Two three-node pilots, RoundRobin UM with failover + gap monitor, 16
+/// sleep units; optionally lossy store, a mixed fault plan, or leases with
+/// a guaranteed partition. Driven by `Engine::run` end to end.
+fn capture_run(seed: u64, scenario: Scenario) -> Outcome {
+    let mut e = Engine::with_trace(seed);
+    let mut cfg = SessionConfig::test_profile();
+    if scenario.lossy {
+        cfg.coordination.loss = LossProfile {
+            drop_p: 0.15,
+            dup_p: 0.10,
+            delay_jitter_ms: 25.0,
+            seed,
+        };
+    }
+    let session = Session::new(cfg);
+    session.store().enable_effect_log();
+    let pm = PilotManager::new(&session);
+    let pilots: Vec<PilotHandle> = (0..2)
+        .map(|_| {
+            pm.submit(
+                &mut e,
+                PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+    for p in &pilots {
+        um.add_pilot(p);
+    }
+    if scenario.partition {
+        um.enable_leases(
+            &mut e,
+            SimDuration::from_secs(60),
+            SimDuration::from_secs(30),
+        );
+        let mut plan = FaultPlan::generate_partitioned(
+            seed,
+            SimDuration::from_secs(1_800),
+            3,
+            pilots.len(),
+            4,
+        );
+        // Guaranteed zombie: partition one pilot at 50 s (agents are
+        // Active by ~47 s) for 300 s — long past lease expiry + grace —
+        // so self-fencing, re-binding and stale-epoch rejection all run.
+        plan.events.push(FaultEvent {
+            at: SimTime::from_secs_f64(50.0),
+            kind: FaultKind::Partition {
+                pilot: (seed as usize) % 2,
+                duration: SimDuration::from_secs(300),
+                symmetric: seed.is_multiple_of(2),
+            },
+        });
+        install_faults_multi(&mut e, &plan, &pilots);
+    } else {
+        um.enable_failover(&mut e);
+        um.set_heartbeat_gap(&mut e, SimDuration::from_secs(120));
+    }
+    if let Some((fault_seed, count)) = scenario.faults {
+        let plan = FaultPlan::generate_mixed(
+            fault_seed,
+            SimDuration::from_secs(1_800),
+            3,
+            pilots.len(),
+            count,
+        );
+        install_faults_multi(&mut e, &plan, &pilots);
+    }
+    let units = um.submit_units(
+        &mut e,
+        (0..16)
+            .map(|i| {
+                // Partition scenarios use short staggered sleeps so the
+                // first wave completes inside the partition-to-fence
+                // window and its completions are held until the heal.
+                let sleep = if scenario.partition {
+                    15 + (i as u64 % 4) * 10
+                } else {
+                    150 + (i as u64 % 5) * 30
+                };
+                ComputeUnitDescription::new(
+                    format!("c{i}"),
+                    1,
+                    WorkSpec::Sleep(SimDuration::from_secs(sleep)),
+                )
+            })
+            .collect(),
+    );
+    e.run();
+    assert!(
+        units.iter().all(|u| u.state().is_final()),
+        "seed {seed}: run drained with non-terminal units"
+    );
+    let store = session.store();
+    Outcome {
+        states: units.iter().map(|u| u.state()).collect(),
+        events: e.trace.events().to_vec(),
+        spans: e.trace.iter_spans().cloned().collect(),
+        metrics: e.metrics.snapshot(),
+        effects: store.effect_log(),
+        rebinds: um.rebinds(),
+        fence_rejections: store.fence_rejections(),
+    }
+}
+
+/// Run `scenario` twice at `seed` and require every observable to match.
+fn assert_rerun_identical(label: &str, seed: u64, scenario: Scenario) -> Outcome {
+    let a = capture_run(seed, scenario);
+    let b = capture_run(seed, scenario);
+    assert_eq!(a.states, b.states, "{label}: states diverge");
+    assert_eq!(a.events, b.events, "{label}: trace events diverge");
+    assert_eq!(a.spans, b.spans, "{label}: spans diverge");
+    assert_eq!(a.metrics, b.metrics, "{label}: metrics diverge");
+    assert_eq!(
+        a.effects, b.effects,
+        "{label}: coordination effect logs diverge"
+    );
+    assert_eq!(a.rebinds, b.rebinds, "{label}: rebinds diverge");
+    assert_eq!(
+        a.fence_rejections, b.fence_rejections,
+        "{label}: fence rejections diverge"
+    );
+    a
+}
+
+const HEALTHY: Scenario = Scenario {
+    faults: None,
+    lossy: false,
+    partition: false,
+};
+
+#[test]
+fn healthy_capture_rerun_bit_identical() {
+    for seed in [1u64, 7, 23] {
+        let out = assert_rerun_identical(&format!("seed {seed}"), seed, HEALTHY);
+        // The effect log must have recorded real traffic.
+        assert!(!out.effects.is_empty(), "seed {seed}: empty effect log");
+    }
+}
+
+#[test]
+fn fault_matrix_capture_rerun_bit_identical() {
+    // 3×3: three fault-plan seeds × three injection counts, mixed kinds
+    // (crashes, slowdowns, container kills, staging errors, pilot kills)
+    // on a lossless store — isolates fault handling from transport loss.
+    for fault_seed in [11u64, 12, 13] {
+        for count in [2usize, 4, 8] {
+            let scenario = Scenario {
+                faults: Some((fault_seed, count)),
+                ..HEALTHY
+            };
+            let label = format!("faults {fault_seed}×{count}");
+            assert_rerun_identical(&label, fault_seed, scenario);
+        }
+    }
+}
+
+#[test]
+fn lossy_store_capture_rerun_bit_identical() {
+    // Transport loss without injected faults: drops force retransmits,
+    // duplicates force dedup — the seq-stamped delivery machinery and its
+    // effect log must replay identically.
+    for seed in [5u64, 17] {
+        let scenario = Scenario {
+            lossy: true,
+            ..HEALTHY
+        };
+        assert_rerun_identical(&format!("lossy seed {seed}"), seed, scenario);
+    }
+}
+
+#[test]
+fn partition_capture_rerun_bit_identical() {
+    // Split-brain: leases renew on jittered heartbeats, a partitioned
+    // pilot self-fences, its units re-bind, and its held completions are
+    // rejected at a stale fencing epoch after the heal.
+    for (seed, lossy) in [(2u64, false), (8, true)] {
+        let scenario = Scenario {
+            lossy,
+            partition: true,
+            ..HEALTHY
+        };
+        let label = format!("partition seed {seed} lossy {lossy}");
+        let out = assert_rerun_identical(&label, seed, scenario);
+        assert!(
+            out.fence_rejections > 0,
+            "{label}: no stale-epoch writes were exercised"
+        );
+    }
+}
+
+#[test]
+fn chaos_capture_rerun_bit_identical() {
+    // Everything at once: mixed faults AND a lossy store.
+    for seed in [3u64, 9] {
+        let scenario = Scenario {
+            faults: Some((seed, 6)),
+            lossy: true,
+            partition: false,
+        };
+        assert_rerun_identical(&format!("chaos seed {seed}"), seed, scenario);
+    }
 }
