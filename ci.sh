@@ -156,6 +156,25 @@ print("--- mode1_pipeline: %d units, %.0f units/s, %.0f allocs/unit"
          d["metrics"]["allocs_per_unit"]["value"]))
 '
 
+echo "==> benchmark smoke (bag_traced per-layer, 1 s: intern table bounded by vocabulary)"
+# Traced bag with the per-layer report: typed span attributes keep ids,
+# counts and unit names out of the intern table, so its size is set by
+# the span/attribute vocabulary, not by the 50k units of history.
+CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload bag_traced --seed 1 --seconds 1 --trace 1 \
+    | tail -n 1 | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+assert d["correct"] is True, d
+assert d["failed"] == 0, d
+symbols = d["metrics"]["obs.symbols"]["value"]
+assert symbols <= 64, "obs.symbols = %d: the intern table grows with history" % symbols
+print("--- bag_traced: %d units, %d symbols, export %.3f s, obs.tax %.2f"
+      % (d["attempted"], symbols, d["metrics"]["obs.export_s"]["value"],
+         d["metrics"]["obs.tax"]["value"]))
+'
+
 echo "==> pilot-kill smoke (failover to the surviving pilot, JSON-checked)"
 cargo run --release -q --example fault_injection 5 --pilot-kill --json \
     | python3 -c '

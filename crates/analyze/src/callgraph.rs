@@ -12,13 +12,12 @@
 //!
 //! The graph is intentionally over-approximate — receiver-blind matching
 //! can add edges that no concrete type permits — which is the safe
-//! direction for purity lints (false paths are waivable; missed paths
-//! would be silent unsoundness). Definitions inside test code are
-//! excluded so lib-side reachability can never route through a test
-//! helper that happens to share a name.
+//! direction for lints (false edges are waivable; missed edges would be
+//! silent unsoundness). Definitions inside test code are excluded so a
+//! lib-side call can never resolve to a test helper that happens to share
+//! a name.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Tok, TokKind};
 use crate::scan::SourceFile;
@@ -59,10 +58,6 @@ pub struct CallGraph {
     /// Call sites per function (parallel to `fns`).
     pub calls: Vec<Vec<CallSite>>,
     by_name: BTreeMap<String, Vec<usize>>,
-    /// Resolved adjacency: caller fn index -> callee fn indices.
-    adj: Vec<Vec<usize>>,
-    /// Reverse adjacency: callee fn index -> caller fn indices.
-    radj: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
@@ -107,24 +102,10 @@ impl CallGraph {
             calls[i].retain(|c| !nested_lines.contains(&c.line));
         }
 
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        let mut radj: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
-        for (i, sites) in calls.iter().enumerate() {
-            let mut targets: BTreeSet<usize> = BTreeSet::new();
-            for site in sites {
-                targets.extend(resolve_site(&fns, &by_name, site));
-            }
-            for &t in &targets {
-                adj[i].push(t);
-                radj[t].push(i);
-            }
-        }
         CallGraph {
             fns,
             calls,
             by_name,
-            adj,
-            radj,
         }
     }
 
@@ -132,85 +113,6 @@ impl CallGraph {
     pub fn resolve(&self, site: &CallSite) -> Vec<usize> {
         resolve_site(&self.fns, &self.by_name, site)
     }
-
-    /// Index of the innermost fn whose body contains token `tok` of file
-    /// `file`.
-    pub fn fn_at(&self, file: usize, tok: usize) -> Option<usize> {
-        innermost_fn_of(&self.fns, file, tok)
-    }
-
-    /// Every fn reachable from `start` (excluding `start` itself unless
-    /// it is reachable through a cycle). Cycle-safe.
-    pub fn reachable_from(&self, start: usize) -> BTreeSet<usize> {
-        let mut seen = BTreeSet::new();
-        let mut q = VecDeque::from(self.adj[start].clone());
-        while let Some(i) = q.pop_front() {
-            if seen.insert(i) {
-                q.extend(self.adj[i].iter().copied());
-            }
-        }
-        seen
-    }
-
-    /// Every fn that can reach `target` (its transitive callers),
-    /// including `target` itself. Cycle-safe.
-    pub fn ancestors_of(&self, target: usize) -> BTreeSet<usize> {
-        let mut seen = BTreeSet::from([target]);
-        let mut q = VecDeque::from(self.radj[target].clone());
-        while let Some(i) = q.pop_front() {
-            if seen.insert(i) {
-                q.extend(self.radj[i].iter().copied());
-            }
-        }
-        seen
-    }
-
-    /// BFS from the definitions the `seeds` call sites resolve to, looking
-    /// for a fn satisfying `pred`. Returns the path of fn names from the
-    /// first seed hop to the match (for finding messages). Cycle-safe.
-    pub fn path_to(
-        &self,
-        seeds: &[CallSite],
-        mut pred: impl FnMut(usize) -> bool,
-    ) -> Option<Vec<String>> {
-        let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
-        let mut q = VecDeque::new();
-        for s in seeds {
-            for d in self.resolve(s) {
-                if let Entry::Vacant(e) = parent.entry(d) {
-                    e.insert(None);
-                    q.push_back(d);
-                }
-            }
-        }
-        while let Some(i) = q.pop_front() {
-            if pred(i) {
-                let mut path = vec![self.fns[i].name.clone()];
-                let mut cur = i;
-                while let Some(&Some(p)) = parent.get(&cur) {
-                    path.push(self.fns[p].name.clone());
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for &n in &self.adj[i] {
-                if let Entry::Vacant(e) = parent.entry(n) {
-                    e.insert(Some(i));
-                    q.push_back(n);
-                }
-            }
-        }
-        None
-    }
-}
-
-fn innermost_fn_of(fns: &[FnDef], file: usize, tok: usize) -> Option<usize> {
-    fns.iter()
-        .enumerate()
-        .filter(|(_, d)| d.file == file && tok > d.body.0 && tok < d.body.1)
-        .min_by_key(|(_, d)| d.body.1 - d.body.0)
-        .map(|(i, _)| i)
 }
 
 fn resolve_site(
@@ -458,26 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn recursion_terminates_and_reaches_both_directions() {
-        let src = r#"
-fn a() { b(); }
-fn b() { a(); c(); }
-fn c() {}
-"#;
-        let files = vec![lib("x.rs", src)];
-        let g = CallGraph::build(&files);
-        let (a, b, c) = (find(&g, "a"), find(&g, "b"), find(&g, "c"));
-        let ra = g.reachable_from(a);
-        assert!(ra.contains(&b) && ra.contains(&c));
-        assert!(
-            ra.contains(&a),
-            "a reaches itself through the a->b->a cycle"
-        );
-        let anc = g.ancestors_of(c);
-        assert!(anc.contains(&a) && anc.contains(&b) && anc.contains(&c));
-    }
-
-    #[test]
     fn method_calls_resolve_receiver_blind_across_impls() {
         let src = r#"
 struct A;
@@ -494,10 +376,10 @@ fn drive(a: &A) { a.poke(); }
         let g = CallGraph::build(&files);
         let drive = find(&g, "drive");
         // `.poke()` is receiver-blind: both impls are candidates.
-        let r = g.reachable_from(drive);
+        let r = g.resolve(&g.calls[drive][0]);
         let pokes: Vec<&FnDef> = g.fns.iter().filter(|d| d.name == "poke").collect();
         assert_eq!(pokes.len(), 2);
-        assert_eq!(r.len(), 2, "both poke defs reachable receiver-blind: {r:?}");
+        assert_eq!(r.len(), 2, "both poke defs resolve receiver-blind: {r:?}");
     }
 
     #[test]
@@ -516,10 +398,9 @@ fn drive() { let _x = A::mk(); }
         let files = vec![lib("x.rs", src)];
         let g = CallGraph::build(&files);
         let drive = find(&g, "drive");
-        let r = g.reachable_from(drive);
-        assert_eq!(r.len(), 1, "only A::mk reachable: {r:?}");
-        let only = *r.iter().next().expect("one fn");
-        assert_eq!(g.fns[only].qual, "A");
+        let r = g.resolve(&g.calls[drive][0]);
+        assert_eq!(r.len(), 1, "only A::mk resolves: {r:?}");
+        assert_eq!(g.fns[r[0]].qual, "A");
     }
 
     #[test]
@@ -537,22 +418,6 @@ impl Clone for A {
     }
 
     #[test]
-    fn path_to_reports_the_call_chain() {
-        let src = r#"
-fn outer() { mid(); }
-fn mid() { sink_here(); }
-fn sink_here() {}
-"#;
-        let files = vec![lib("x.rs", src)];
-        let g = CallGraph::build(&files);
-        let seeds = extract_calls(&files[0].lexed.toks, g.fns[find(&g, "outer")].body);
-        let path = g
-            .path_to(&seeds, |i| g.fns[i].name == "sink_here")
-            .expect("path exists");
-        assert_eq!(path, vec!["mid".to_string(), "sink_here".to_string()]);
-    }
-
-    #[test]
     fn test_code_definitions_are_excluded() {
         let src = r#"
 fn lib_fn() { helper(); }
@@ -564,7 +429,7 @@ mod tests {
         let files = vec![lib("x.rs", src)];
         let g = CallGraph::build(&files);
         assert!(g.fns.iter().all(|d| d.name != "helper"));
-        assert!(g.reachable_from(find(&g, "lib_fn")).is_empty());
+        assert!(g.resolve(&g.calls[find(&g, "lib_fn")][0]).is_empty());
     }
 
     #[test]
@@ -585,7 +450,7 @@ fn deep() {}
             !names.contains(&"deep"),
             "deep() belongs to child, not parent: {names:?}"
         );
-        // Reachability still finds deep through child.
-        assert!(g.reachable_from(parent).contains(&find(&g, "deep")));
+        let child = find(&g, "child");
+        assert!(g.calls[child].iter().any(|c| c.name == "deep"));
     }
 }

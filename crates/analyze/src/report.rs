@@ -217,9 +217,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              For each `let x = ...span_begin(...)` in library code the rule\n\
              requires, within the same function, either a `span_end(..., x)`\n\
              (including inside closures) or an escape that transfers ownership\n\
-             (assignment into a field/struct, passing x to a non-span_attr call,\n\
-             returning it). A span id that is dropped on the floor — discarded\n\
-             result or a binding only ever fed to span_attr — can never be ended\n\
+             (assignment into a field/struct, passing x to a call other than the\n\
+             attribute setters span_attr/span_attr_u64/span_attr_text, returning\n\
+             it). A span id that is dropped on the floor — discarded result or a\n\
+             binding only ever fed to attribute setters — can never be ended\n\
              and leaks an open span into the trace. Waive intentional leaks with\n\
              `// rp-lint: allow(span-balance): <why>`."
         }

@@ -3,7 +3,8 @@
 //! For each `span_begin` call in library code, classify the result:
 //!   - bound with `let x = ...` — require, within the enclosing function, a
 //!     later `span_end(..., x)` or an ownership escape (x assigned into a
-//!     field, passed to a call other than `span_attr`, or returned);
+//!     field, passed to a call other than an attribute setter, or
+//!     returned);
 //!   - assigned without `let` (`rec.span_open = ...span_begin(...)`) — the
 //!     id is stored, ownership transferred: fine;
 //!   - used inline as a call argument or struct-literal field — ownership
@@ -15,6 +16,10 @@ use crate::report::{Finding, Report};
 use crate::scan::SourceFile;
 
 const RULE: &str = "span-balance";
+
+/// The span attribute setters: passing an id to one of them neither ends
+/// the span nor transfers its ownership.
+const ATTR_SETTERS: [&str; 3] = ["span_attr", "span_attr_u64", "span_attr_text"];
 
 /// Spans (start..end token indices, exclusive) of every `fn` body.
 /// Closures are not `fn`, so they stay inside their function's range.
@@ -140,7 +145,7 @@ pub fn check(files: &[SourceFile], report: &mut Report) {
                     if t[j].kind == TokKind::Ident && t[j].text == name {
                         // Which context is this use in?
                         // Walk back to see if it's inside span_end(...) or
-                        // span_attr(...) args.
+                        // attribute-setter args.
                         let mut k = j;
                         let mut pdepth = 0i32;
                         let mut callee: Option<&str> = None;
@@ -160,7 +165,7 @@ pub fn check(files: &[SourceFile], report: &mut Report) {
                         }
                         match callee {
                             Some("span_end") => balanced = true,
-                            Some("span_attr") => {} // attr use doesn't consume
+                            Some(c) if ATTR_SETTERS.contains(&c) => {} // doesn't consume
                             Some(_) => escaped = true,
                             None => escaped = true, // assignment / return / tail
                         }

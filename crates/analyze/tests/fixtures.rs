@@ -472,6 +472,30 @@ fn run(engine: &mut Engine) {
 }
 
 #[test]
+fn span_balance_fires_on_spans_only_fed_to_typed_attr_setters() {
+    // The typed setters take the id like `span_attr` does; feeding them
+    // is not an ownership escape, so both leaks must be flagged.
+    let leaked = r#"
+fn run(engine: &mut Engine, unit: &Unit) {
+    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
+    engine.trace.span_attr_u64(span, "unit", unit.id);
+    engine.trace.span_attr_text(span, "name", &unit.name);
+}
+fn typed_only(engine: &mut Engine) {
+    let span = engine.trace.span_begin(engine.now(), "cat", "name", None);
+    engine.trace.span_attr_u64(span, "cores", 4);
+}
+"#;
+    let mut report = Report::default();
+    spans::check(&[lib_file("typed_leak.rs", leaked)], &mut report);
+    assert_eq!(report.fatal_count(), 2, "{}", report.render_text());
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| f.message.contains("never passed to span_end")));
+}
+
+#[test]
 fn span_balance_silent_on_ended_stored_or_escaping_spans() {
     let good = r#"
 fn ended(engine: &mut Engine) {

@@ -12,6 +12,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 
 use rp_hpc::{Allocation, IoKind, NodeId, StorageTarget};
@@ -27,7 +28,7 @@ use crate::description::{AccessMode, StageEndpoint, StagingDirective, UnitIoTarg
 use crate::launch::{self, LaunchMethod};
 use crate::session::{MachineHandle, SessionConfig};
 use crate::states::UnitState;
-use crate::unit::{PilotId, UnitHandle};
+use crate::unit::{PilotId, UnitHandle, UnitId};
 
 /// What the LRM provisioned for this pilot.
 #[derive(Clone)]
@@ -246,6 +247,17 @@ struct AgentInner {
     fenced: bool,
 }
 
+/// Trace line `UnitId(n) launching via Method`, formatted only when the
+/// trace is read.
+fn launch_line(f: &mut fmt::Formatter<'_>, unit: u64, method: u32) -> fmt::Result {
+    write!(
+        f,
+        "{:?} launching via {:?}",
+        UnitId(unit),
+        LaunchMethod::ALL[method as usize]
+    )
+}
+
 /// Shared handle to a running agent.
 #[derive(Clone)]
 pub struct Agent {
@@ -273,7 +285,7 @@ impl Agent {
         engine.trace.record(
             engine.now(),
             "agent",
-            format!("{pilot:?} bootstrapping on {} nodes", alloc.nodes.len()),
+            format_args!("{pilot:?} bootstrapping on {} nodes", alloc.nodes.len()),
         );
         let cluster_outer = machine.cluster.clone();
         let nodes_outer = alloc.nodes.clone();
@@ -335,7 +347,7 @@ impl Agent {
                     agent.ensure_heartbeat(eng);
                 }
                 eng.trace
-                    .record(eng.now(), "agent", format!("{pilot:?} active"));
+                    .record(eng.now(), "agent", format_args!("{pilot:?} active"));
                 on_active(eng, agent);
             };
 
@@ -453,7 +465,7 @@ impl Agent {
             };
             eng.metrics.incr("agent.heartbeats");
             eng.trace
-                .record(eng.now(), "agent", format!("{pilot:?} heartbeat"));
+                .record(eng.now(), "agent", format_args!("{pilot:?} heartbeat"));
             // Lease maintenance piggybacks on the heartbeat: renew under
             // the held epoch, self-fence the moment the local deadline
             // passes unrenewed, re-acquire at a fresh epoch after a
@@ -498,7 +510,7 @@ impl Agent {
                 engine.trace.record(
                     engine.now(),
                     "agent",
-                    format!("{pilot:?} re-acquired lease at epoch {epoch}"),
+                    format_args!("{pilot:?} re-acquired lease at epoch {epoch}"),
                 );
                 return false;
             }
@@ -564,7 +576,7 @@ impl Agent {
         engine.trace.record(
             engine.now(),
             "agent",
-            format!("{pilot:?} self-fenced (lease expired unrenewed)"),
+            format_args!("{pilot:?} self-fenced (lease expired unrenewed)"),
         );
     }
 
@@ -621,7 +633,7 @@ impl Agent {
         }
         engine
             .trace
-            .record(engine.now(), "agent", format!("{pilot:?} stopped"));
+            .record(engine.now(), "agent", format_args!("{pilot:?} stopped"));
     }
 
     /// Whole-pilot loss (walltime expiry, queue kill, batch failure).
@@ -694,7 +706,7 @@ impl Agent {
         engine.trace.record(
             engine.now(),
             "agent",
-            format!(
+            format_args!(
                 "{pilot:?} terminated ({cause}); returning {} unfinished units",
                 unfinished.len()
             ),
@@ -727,7 +739,7 @@ impl Agent {
         engine.trace.record(
             engine.now(),
             "agent",
-            format!("{pilot:?} hung (silent agent death)"),
+            format_args!("{pilot:?} hung (silent agent death)"),
         );
     }
 
@@ -745,7 +757,7 @@ impl Agent {
             engine.trace.record(
                 engine.now(),
                 "agent",
-                format!("{pilot:?} fenced; ignoring {} delivered units", batch.len()),
+                format_args!("{pilot:?} fenced; ignoring {} delivered units", batch.len()),
             );
             return;
         }
@@ -755,7 +767,7 @@ impl Agent {
             // analyzer can adopt it as a causal child of `pilot.run`.
             engine
                 .trace
-                .span_attr(unit.root_span(), "pilot", pilot.0.to_string());
+                .span_attr_u64(unit.root_span(), "pilot", pilot.0);
             if let Err(reason) = self.validate(&unit) {
                 unit.fail(engine, reason);
                 continue;
@@ -861,7 +873,7 @@ impl Agent {
             engine.trace.record(
                 engine.now(),
                 "agent",
-                format!(
+                format_args!(
                     "{pilot:?} draining {} units (insufficient walltime left)",
                     drained.len()
                 ),
@@ -910,7 +922,7 @@ impl Agent {
             engine.trace.record(
                 engine.now(),
                 "agent",
-                format!("{:?} pulling {remote} B of pilot-data over WAN", unit.id()),
+                format_args!("{:?} pulling {remote} B of pilot-data over WAN", unit.id()),
             );
             directives.insert(
                 0,
@@ -1038,7 +1050,7 @@ impl Agent {
             engine.trace.record(
                 engine.now(),
                 "agent",
-                format!(
+                format_args!(
                     "{:?} staging directive faulted (attempt {attempts})",
                     unit.id()
                 ),
@@ -1109,10 +1121,12 @@ impl Agent {
             (SimDuration::from_secs_f64(prep), method)
         };
         engine.metrics.incr("agent.spawner_launches");
-        engine.trace.record(
+        engine.trace.record_line(
             engine.now(),
             "agent",
-            format!("{:?} launching via {method:?}", unit.id()),
+            launch_line,
+            unit.id().0,
+            method as u32,
         );
         let this = self.clone();
         engine.schedule_in(prep, move |eng| {
@@ -1216,12 +1230,10 @@ impl Agent {
         let span = engine
             .trace
             .span_begin(engine.now(), "unit", "unit.compute", unit.open_span());
+        engine.trace.span_attr_u64(span, "pilot", pilot_id.0);
         engine
             .trace
-            .span_attr(span, "pilot", pilot_id.0.to_string());
-        engine
-            .trace
-            .span_attr(span, "cores", total_cores.to_string());
+            .span_attr_u64(span, "cores", u64::from(total_cores));
         let alive = alive.clone();
         let done = move |eng: &mut Engine| {
             if alive.get() {
@@ -1367,7 +1379,7 @@ impl Agent {
                 engine.trace.record(
                     engine.now(),
                     "agent",
-                    format!("{:?} reusing pooled AM", unit.id()),
+                    format_args!("{:?} reusing pooled AM", unit.id()),
                 );
                 this.yarn_task_container(engine, am, req, unit, vcores, mem_mb, run_alive);
             }
@@ -1445,7 +1457,7 @@ impl Agent {
                 eng.trace.record(
                     eng.now(),
                     "agent",
-                    format!(
+                    format_args!(
                         "{:?} lost {:?} to preemption; re-requesting (attempt {})",
                         unit.id(),
                         container.id,
@@ -1601,8 +1613,8 @@ impl Agent {
                     let span =
                         eng.trace
                             .span_begin(eng.now(), "unit", "unit.compute", unit.open_span());
-                    eng.trace.span_attr(span, "pilot", pilot_id.0.to_string());
-                    eng.trace.span_attr(span, "cores", cores.to_string());
+                    eng.trace.span_attr_u64(span, "pilot", pilot_id.0);
+                    eng.trace.span_attr_u64(span, "cores", u64::from(cores));
                     let dur = cluster.compute_duration(core_seconds / cores.max(1) as f64);
                     let u2 = unit.clone();
                     let spark = spark_cb;
@@ -1776,13 +1788,16 @@ impl Agent {
                     engine.trace.record(
                         engine.now(),
                         "agent",
-                        format!("{victim:?} slowed {factor:.2}x for {duration}"),
+                        format_args!("{victim:?} slowed {factor:.2}x for {duration}"),
                     );
                     let this = self.clone();
                     engine.schedule_in(*duration, move |eng| {
                         this.inner.borrow_mut().slots.clear_slowdown(victim);
-                        eng.trace
-                            .record(eng.now(), "agent", format!("{victim:?} speed restored"));
+                        eng.trace.record(
+                            eng.now(),
+                            "agent",
+                            format_args!("{victim:?} speed restored"),
+                        );
                     });
                 }
             }
@@ -1798,7 +1813,7 @@ impl Agent {
                 engine.trace.record(
                     engine.now(),
                     "agent",
-                    format!("lustre link degraded to {factor:.2}x for {duration}"),
+                    format_args!("lustre link degraded to {factor:.2}x for {duration}"),
                 );
                 engine.schedule_in(*duration, move |eng| {
                     link.set_capacity(eng, orig);
@@ -1848,7 +1863,7 @@ impl Agent {
         };
         engine
             .trace
-            .record(engine.now(), "agent", format!("{victim:?} crashed"));
+            .record(engine.now(), "agent", format_args!("{victim:?} crashed"));
         if let RuntimeAccess::Yarn { env, mode_i: true } = &access {
             // Mode I frameworks live on our allocation: the NodeManager
             // (and DataNode) on the victim die with it.
@@ -1942,7 +1957,7 @@ impl Agent {
         engine.trace.record(
             engine.now(),
             "agent",
-            format!(
+            format_args!(
                 "{:?} lost ({reason}); attempt {}",
                 unit.id(),
                 unit.attempts()

@@ -425,7 +425,7 @@ impl CoordinationStore {
                 engine.trace.record(
                     engine.now(),
                     "store",
-                    format!("{label} #{seq} held by partition; retry in {retry_after}"),
+                    format_args!("{label} #{seq} held by partition; retry in {retry_after}"),
                 );
                 let this = self.clone();
                 engine.schedule_in(latency + retry_after, move |eng| {
@@ -449,7 +449,7 @@ impl CoordinationStore {
             engine.trace.record(
                 engine.now(),
                 "store",
-                format!("{label} #{seq} dropped; retransmit in {retry_after}"),
+                format_args!("{label} #{seq} dropped; retransmit in {retry_after}"),
             );
             let this = self.clone();
             engine.schedule_in(latency + retry_after, move |eng| {
@@ -463,7 +463,7 @@ impl CoordinationStore {
             engine.trace.record(
                 engine.now(),
                 "store",
-                format!("{label} #{seq} duplicated in flight"),
+                format_args!("{label} #{seq} duplicated in flight"),
             );
             2
         } else {
@@ -506,7 +506,7 @@ impl CoordinationStore {
                         eng.trace.record(
                             eng.now(),
                             "store",
-                            format!("{label} #{seq} rejected: stale fencing epoch {epoch}"),
+                            format_args!("{label} #{seq} rejected: stale fencing epoch {epoch}"),
                         );
                         return;
                     }
@@ -830,7 +830,7 @@ impl CoordinationStore {
         engine.trace.record(
             now,
             "store",
-            format!("{pilot:?} partitioned ({kind}) until {until:?}"),
+            format_args!("{pilot:?} partitioned ({kind}) until {until:?}"),
         );
     }
 
@@ -912,7 +912,7 @@ impl CoordinationStore {
         engine.trace.record(
             now,
             "store",
-            format!(
+            format_args!(
                 "{pilot:?} lease granted (epoch {}, expires {:?})",
                 granted.0, granted.1
             ),
@@ -953,7 +953,7 @@ impl CoordinationStore {
             engine.trace.record(
                 now,
                 "store",
-                format!("{pilot:?} lease renewal rejected: stale epoch {epoch}"),
+                format_args!("{pilot:?} lease renewal rejected: stale epoch {epoch}"),
             );
         }
         None
@@ -978,7 +978,7 @@ impl CoordinationStore {
         engine.metrics.incr("coordination.lease_revocations");
         engine
             .trace
-            .record(now, "store", format!("{pilot:?} lease revoked"));
+            .record(now, "store", format_args!("{pilot:?} lease revoked"));
     }
 
     /// The current fencing epoch of `pilot` (0 before any grant).

@@ -199,7 +199,7 @@ impl DataPilot {
         engine.trace.record(
             engine.now(),
             "pilot-data",
-            format!(
+            format_args!(
                 "leased {} B of {:?} on {}",
                 descr.capacity_bytes, descr.backend, descr.resource
             ),
@@ -282,7 +282,7 @@ impl DataPilot {
             eng.trace.record(
                 eng.now(),
                 "pilot-data",
-                format!("{:?} ready ({} B)", u2.id(), u2.total_bytes()),
+                format_args!("{:?} ready ({} B)", u2.id(), u2.total_bytes()),
             );
             on_ready(eng, u2.clone());
         };

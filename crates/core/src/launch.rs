@@ -25,6 +25,16 @@ pub enum LaunchMethod {
 }
 
 impl LaunchMethod {
+    /// Every method in declaration order: `ALL[m as usize] == m`.
+    pub const ALL: [LaunchMethod; 6] = [
+        LaunchMethod::Fork,
+        LaunchMethod::MpiExec,
+        LaunchMethod::Ibrun,
+        LaunchMethod::Aprun,
+        LaunchMethod::YarnSubmit,
+        LaunchMethod::SparkSubmit,
+    ];
+
     /// Launcher process overhead in seconds (spawn, wire-up, teardown of
     /// the launcher itself — not the launched work). YARN/Spark overheads
     /// live in their cluster models instead.
@@ -66,6 +76,17 @@ pub fn select(
 mod tests {
     use super::*;
     use rp_sim::SimDuration;
+
+    #[test]
+    fn all_lists_every_method_in_declaration_order() {
+        assert_eq!(
+            LaunchMethod::ALL.len(),
+            LaunchMethod::SparkSubmit as usize + 1
+        );
+        for (i, m) in LaunchMethod::ALL.into_iter().enumerate() {
+            assert_eq!(m as usize, i);
+        }
+    }
 
     fn unit(mpi: bool) -> ComputeUnitDescription {
         let mut u = ComputeUnitDescription::new("u", 4, WorkSpec::Sleep(SimDuration::from_secs(1)));

@@ -142,13 +142,13 @@ impl PilotHandle {
                     let root = engine
                         .trace
                         .span_begin(now, "pilot", "pilot.run", SpanId::NONE);
-                    engine.trace.span_attr(root, "pilot", rec.id.0.to_string());
+                    engine.trace.span_attr_u64(root, "pilot", rec.id.0);
                     engine
                         .trace
-                        .span_attr(root, "resource", rec.descr.resource.clone());
+                        .span_attr(root, "resource", &rec.descr.resource);
                     engine
                         .trace
-                        .span_attr(root, "nodes", rec.descr.nodes.to_string());
+                        .span_attr_u64(root, "nodes", u64::from(rec.descr.nodes));
                     rec.span_root = root;
                     rec.span_open = engine
                         .trace
@@ -181,13 +181,11 @@ impl PilotHandle {
                 Vec::new()
             }
         };
-        engine
-            .metrics
-            .incr_labeled("pilot.transitions", &[("state", &format!("{next:?}"))]);
+        engine.metrics.incr(next.transition_key());
         engine.trace.record(
             engine.now(),
             "pilot",
-            format!("{:?} -> {next:?}", self.id()),
+            format_args!("{:?} -> {next:?}", self.id()),
         );
         for w in waiters {
             w(engine, next);
@@ -474,11 +472,17 @@ impl UnitManager {
             }
             inner.failover = true;
         }
-        let this = self.clone();
+        // The store lives in the session this manager holds: a strong
+        // handle in its client would be a cycle that leaks the session,
+        // its machines and every unit once the engine is dropped.
+        let session = self.session.downgrade();
+        let inner = Rc::downgrade(&self.inner);
         self.session
             .store()
             .register_client(move |eng, pilot, units, cause| {
-                this.on_units_returned(eng, pilot, units, cause);
+                if let (Some(session), Some(inner)) = (session.upgrade(), inner.upgrade()) {
+                    UnitManager { session, inner }.on_units_returned(eng, pilot, units, cause);
+                }
             });
         let pilots = self.inner.borrow().pilots.clone();
         for p in &pilots {
@@ -694,14 +698,14 @@ impl UnitManager {
         engine.metrics.incr("um.pilots_lost");
         engine
             .trace
-            .record(engine.now(), "um", format!("{dead:?} lost ({cause})"));
+            .record(engine.now(), "um", format_args!("{dead:?} lost ({cause})"));
         let backfill = self.inner.borrow().backfill.clone();
         if let Some(hook) = backfill {
             if let Some(p) = hook(engine) {
                 engine.trace.record(
                     engine.now(),
                     "um",
-                    format!("backfilled replacement {:?} for {dead:?}", p.id()),
+                    format_args!("backfilled replacement {:?} for {dead:?}", p.id()),
                 );
                 self.inner.borrow_mut().pilots.push(p.clone());
                 self.watch_pilot(&p);
@@ -737,7 +741,7 @@ impl UnitManager {
         engine.trace.record(
             engine.now(),
             "um",
-            format!("{} units returned from {pilot:?} ({cause})", units.len()),
+            format_args!("{} units returned from {pilot:?} ({cause})", units.len()),
         );
         for u in units {
             self.rebind(engine, u, pilot, cause);
@@ -806,7 +810,7 @@ impl UnitManager {
         engine.trace.record(
             engine.now(),
             "um",
-            format!(
+            format_args!(
                 "{:?} re-bound {from:?} -> {:?} ({cause})",
                 unit.id(),
                 target.id()
@@ -967,6 +971,35 @@ mod tests {
         pm.cancel(&mut e, &pilot);
         e.run();
         assert_eq!(pilot.state(), PilotState::Canceled);
+    }
+
+    #[test]
+    fn failover_and_leases_do_not_keep_the_session_alive() {
+        let mut e = Engine::new(1);
+        let session = Session::new(SessionConfig::test_profile());
+        let weak = session.downgrade();
+        let pm = PilotManager::new(&session);
+        let pilot = pm
+            .submit(
+                &mut e,
+                PilotDescription::new("localhost", 2, SimDuration::from_secs(600)),
+            )
+            .unwrap();
+        let mut um = UnitManager::new(&session, UmScheduler::Direct);
+        um.add_pilot(&pilot);
+        um.enable_leases(
+            &mut e,
+            SimDuration::from_secs(60),
+            SimDuration::from_secs(30),
+        );
+        let units = um.submit_units(&mut e, vec![sleep_unit("u", 2)]);
+        e.run();
+        assert_eq!(units[0].state(), UnitState::Done);
+        drop((units, um, pm, pilot, session, e));
+        assert!(
+            weak.upgrade().is_none(),
+            "a reference cycle through the store's failover client leaks the session"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use rp_hdfs::HdfsConfig;
 use rp_hpc::{BatchSystem, Cluster, MachineSpec};
@@ -112,6 +112,16 @@ pub struct Session {
     inner: Rc<RefCell<SessionInner>>,
 }
 
+/// A [`Session`] reference that does not keep the session alive, for
+/// callbacks the session itself stores.
+pub(crate) struct WeakSession(Weak<RefCell<SessionInner>>);
+
+impl WeakSession {
+    pub(crate) fn upgrade(&self) -> Option<Session> {
+        self.0.upgrade().map(|inner| Session { inner })
+    }
+}
+
 /// Errors from Pilot-layer operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PilotError {
@@ -147,6 +157,10 @@ impl Session {
                 next_unit: 0,
             })),
         }
+    }
+
+    pub(crate) fn downgrade(&self) -> WeakSession {
+        WeakSession(Rc::downgrade(&self.inner))
     }
 
     pub fn store(&self) -> CoordinationStore {

@@ -18,6 +18,19 @@ pub enum PilotState {
 }
 
 impl PilotState {
+    /// Key of the `pilot.transitions` counter for entering `self`.
+    pub fn transition_key(self) -> &'static str {
+        match self {
+            PilotState::New => "pilot.transitions{state=New}",
+            PilotState::PendingLaunch => "pilot.transitions{state=PendingLaunch}",
+            PilotState::Launching => "pilot.transitions{state=Launching}",
+            PilotState::Active => "pilot.transitions{state=Active}",
+            PilotState::Done => "pilot.transitions{state=Done}",
+            PilotState::Canceled => "pilot.transitions{state=Canceled}",
+            PilotState::Failed => "pilot.transitions{state=Failed}",
+        }
+    }
+
     pub fn is_final(self) -> bool {
         matches!(
             self,
@@ -61,6 +74,34 @@ pub enum UnitState {
 }
 
 impl UnitState {
+    /// Every state in declaration order: `ALL[s as usize] == s`.
+    pub const ALL: [UnitState; 9] = [
+        UnitState::New,
+        UnitState::UmScheduling,
+        UnitState::AgentScheduling,
+        UnitState::StagingInput,
+        UnitState::Executing,
+        UnitState::StagingOutput,
+        UnitState::Done,
+        UnitState::Canceled,
+        UnitState::Failed,
+    ];
+
+    /// Key of the `unit.transitions` counter for entering `self`.
+    pub fn transition_key(self) -> &'static str {
+        match self {
+            UnitState::New => "unit.transitions{state=New}",
+            UnitState::UmScheduling => "unit.transitions{state=UmScheduling}",
+            UnitState::AgentScheduling => "unit.transitions{state=AgentScheduling}",
+            UnitState::StagingInput => "unit.transitions{state=StagingInput}",
+            UnitState::Executing => "unit.transitions{state=Executing}",
+            UnitState::StagingOutput => "unit.transitions{state=StagingOutput}",
+            UnitState::Done => "unit.transitions{state=Done}",
+            UnitState::Canceled => "unit.transitions{state=Canceled}",
+            UnitState::Failed => "unit.transitions{state=Failed}",
+        }
+    }
+
     pub fn is_final(self) -> bool {
         matches!(
             self,
@@ -226,6 +267,28 @@ mod tests {
         assert!(!UnitState::UmScheduling.can_transition_to(UnitState::UmScheduling));
         assert!(!UnitState::Done.can_transition_to(UnitState::UmScheduling));
         assert!(!UnitState::Failed.can_transition_to(UnitState::UmScheduling));
+    }
+
+    #[test]
+    fn state_tables_match_declaration_order_and_labels() {
+        for s in [
+            PilotState::New,
+            PilotState::PendingLaunch,
+            PilotState::Launching,
+            PilotState::Active,
+            PilotState::Done,
+            PilotState::Canceled,
+            PilotState::Failed,
+        ] {
+            let key = rp_sim::metric_key("pilot.transitions", &[("state", &format!("{s:?}"))]);
+            assert_eq!(s.transition_key(), key);
+        }
+        assert_eq!(UnitState::ALL.len(), UnitState::Failed as usize + 1);
+        for (i, s) in UnitState::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i);
+            let key = rp_sim::metric_key("unit.transitions", &[("state", &format!("{s:?}"))]);
+            assert_eq!(s.transition_key(), key);
+        }
     }
 
     #[test]

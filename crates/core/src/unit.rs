@@ -1,6 +1,7 @@
 //! Compute-Unit runtime records and handles.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 use rp_hpc::NodeId;
@@ -203,8 +204,8 @@ impl UnitHandle {
                         let root = engine
                             .trace
                             .span_begin(now, "unit", "unit.run", SpanId::NONE);
-                        engine.trace.span_attr(root, "unit", rec.id.0.to_string());
-                        engine.trace.span_attr(root, "name", rec.descr.name.clone());
+                        engine.trace.span_attr_u64(root, "unit", rec.id.0);
+                        engine.trace.span_attr_text(root, "name", &rec.descr.name);
                         rec.span_root = root;
                         rec.span_open =
                             engine
@@ -272,10 +273,14 @@ impl UnitHandle {
                 Vec::new()
             }
         };
-        let metric = rp_sim::metric_key("unit.transitions", &[("state", &format!("{next:?}"))]);
-        engine.metrics.add(&metric, 1);
-        let record = format!("{:?} -> {next:?}", self.id());
-        engine.trace.record(engine.now(), "unit", record);
+        engine.metrics.incr(next.transition_key());
+        engine.trace.record_line(
+            engine.now(),
+            "unit",
+            transition_line,
+            self.id().0,
+            next as u32,
+        );
         for w in waiters {
             w(engine);
         }
@@ -285,6 +290,17 @@ impl UnitHandle {
         self.rec.borrow_mut().failure = Some(reason.into());
         self.advance(engine, UnitState::Failed);
     }
+}
+
+/// Trace line `UnitId(n) -> State` of [`UnitHandle::advance`], formatted
+/// only when the trace is read.
+fn transition_line(f: &mut fmt::Formatter<'_>, id: u64, state: u32) -> fmt::Result {
+    write!(
+        f,
+        "{:?} -> {:?}",
+        UnitId(id),
+        UnitState::ALL[state as usize]
+    )
 }
 
 /// Fire `cb` once every unit in `units` reaches a final state.

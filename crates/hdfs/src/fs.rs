@@ -94,9 +94,11 @@ impl Hdfs {
             .map(|_| engine.rng.normal_min(dn_mean, dn_std, 0.1))
             .fold(0.0f64, f64::max);
         let total = SimDuration::from_secs_f64(nn_start + dn_max);
-        engine
-            .trace
-            .record(engine.now(), "hdfs", format!("deploying on {n_dn} nodes"));
+        engine.trace.record(
+            engine.now(),
+            "hdfs",
+            format_args!("deploying on {n_dn} nodes"),
+        );
         engine.schedule_in(total, move |eng| {
             eng.trace.record(eng.now(), "hdfs", "ready");
             on_ready(eng, fs);
@@ -417,7 +419,7 @@ impl Hdfs {
         engine.trace.record(
             engine.now(),
             "hdfs",
-            format!(
+            format_args!(
                 "datanode {failed} failed: {} blocks re-replicating, {} lost",
                 plan.len(),
                 lost.len()

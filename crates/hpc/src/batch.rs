@@ -171,7 +171,7 @@ impl BatchSystem {
         engine.trace.record(
             engine.now(),
             "batch",
-            format!("submit {id:?} ({} nodes)", self.nodes_of(id)),
+            format_args!("submit {id:?} ({} nodes)", self.nodes_of(id)),
         );
         let this = self.clone();
         engine.schedule_in(eligible_in, move |eng| {
@@ -265,7 +265,7 @@ impl BatchSystem {
         engine.trace.record(
             engine.now(),
             "batch",
-            format!("reserved {count} nodes for {duration}"),
+            format_args!("reserved {count} nodes for {duration}"),
         );
         let this = self.clone();
         let nodes: Vec<NodeId> = picked.iter().map(|&p| NodeId(p)).collect();
@@ -312,7 +312,7 @@ impl BatchSystem {
         }
         engine
             .trace
-            .record(engine.now(), "batch", format!("{id:?} -> {state:?}"));
+            .record(engine.now(), "batch", format_args!("{id:?} -> {state:?}"));
         if let Some(cb) = end_cb {
             cb(engine, state);
         }
@@ -438,7 +438,7 @@ impl BatchSystem {
         engine.trace.record(
             engine.now(),
             "batch",
-            format!("start {id:?} on {} nodes", alloc.nodes.len()),
+            format_args!("start {id:?} on {} nodes", alloc.nodes.len()),
         );
         // Arm walltime expiry.
         let this = self.clone();

@@ -277,7 +277,7 @@ fn run_map_task(
                 eng.trace.record(
                     eng.now(),
                     "mr",
-                    format!("speculative backup wins for a map on {node}"),
+                    format_args!("speculative backup wins for a map on {node}"),
                 );
                 effective = backup;
             }

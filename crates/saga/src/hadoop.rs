@@ -71,7 +71,7 @@ impl ManagedCluster {
             FrameworkHandle::Custom(name, _) => {
                 engine
                     .trace
-                    .record(engine.now(), "saga", format!("stopping {name}"));
+                    .record(engine.now(), "saga", format_args!("stopping {name}"));
                 self.job.complete(engine);
             }
         }

@@ -170,7 +170,7 @@ impl JobService {
         engine.trace.record(
             engine.now(),
             "saga",
-            format!(
+            format_args!(
                 "submitted '{}' ({} nodes) via {}",
                 jd.executable, jd.nodes, self.url
             ),

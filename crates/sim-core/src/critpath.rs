@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::intern::Symbol;
 use crate::profile::{Phase, PhaseBreakdown, Profiler};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Span, SpanId, Trace};
+use crate::trace::{Attr, Span, SpanId, Trace};
 
 /// One maximal interval of the critical path, charged to a single span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,16 +180,18 @@ impl CausalEdges {
         let queue_wait = trace.symbol("pilot.queue_wait");
         let bootstrap = trace.symbol("pilot.bootstrap");
         // pilot id -> pilot.run span id (completed roots only).
-        let pilots: BTreeMap<&str, SpanId> = trace
+        let pilot = trace.symbol("pilot");
+        let pilot_of = |s: &Span| pilot.and_then(|k| trace.attr_sym(s, k));
+        let pilots: BTreeMap<Attr, SpanId> = trace
             .iter_spans()
             .filter(|s| Some(s.name) == pilot_run && s.parent.is_none() && s.end.is_some())
-            .filter_map(|s| trace.attr(s, "pilot").map(|p| (p, s.id)))
+            .filter_map(|s| pilot_of(s).map(|p| (p, s.id)))
             .collect();
         for unit in trace
             .iter_spans()
             .filter(|s| Some(s.name) == unit_run && s.parent.is_none() && s.end.is_some())
         {
-            let Some(&pilot_span) = trace.attr(unit, "pilot").and_then(|p| pilots.get(p)) else {
+            let Some(&pilot_span) = pilot_of(unit).and_then(|p| pilots.get(&p)) else {
                 continue;
             };
             // Edge 2: the pilot's completion causally waits on its units.
@@ -577,7 +579,7 @@ mod tests {
     fn adoption_attributes_startup_phases_across_roots() {
         let mut tr = Trace::enabled();
         let pr = tr.span_begin(t(0), "pilot", "pilot.run", SpanId::NONE);
-        tr.span_attr(pr, "pilot", "0");
+        tr.span_attr_u64(pr, "pilot", 0);
         let q = tr.span_begin(t(0), "pilot", "pilot.queue_wait", pr);
         tr.span_end(t(10), q);
         let b = tr.span_begin(t(10), "pilot", "pilot.bootstrap", pr);
@@ -586,7 +588,7 @@ mod tests {
         tr.span_end(t(40), b);
         // Unit submitted at t=0, picked up once the pilot is active.
         let ur = tr.span_begin(t(0), "unit", "unit.run", SpanId::NONE);
-        tr.span_attr(ur, "pilot", "0");
+        tr.span_attr_u64(ur, "pilot", 0);
         let s = tr.span_begin(t(0), "unit", "unit.scheduling", ur);
         tr.span_end(t(41), s);
         let ex = tr.span_begin(t(41), "unit", "unit.exec", ur);

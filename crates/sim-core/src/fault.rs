@@ -294,7 +294,7 @@ impl FaultInjector {
     pub fn fire(&self, engine: &mut Engine, kind: &FaultKind) {
         engine
             .trace
-            .record(engine.now(), "fault", format!("inject {kind:?}"));
+            .record(engine.now(), "fault", format_args!("inject {kind:?}"));
         self.inner.borrow_mut().injected += 1;
         // Handlers are moved out while running so a handler may re-enter the
         // injector (e.g. schedule a follow-up restore through `fire`).

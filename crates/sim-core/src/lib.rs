@@ -64,8 +64,8 @@ pub use telemetry::{EngineTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION
 pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{
-    escape_json, validate_chrome_json, validate_chrome_reader, ChromeTraceStats, Span, SpanId,
-    SpanIndex, Trace, TraceEvent,
+    escape_json, validate_chrome_json, validate_chrome_reader, Attr, AttrValue, ChromeTraceStats,
+    LineFn, Message, Span, SpanId, SpanIndex, Trace, TraceEvent,
 };
 
 /// Convenience: megabytes → bytes (storage models are specified in MB/s).

@@ -312,7 +312,10 @@ pub fn pilot_utilization(trace: &Trace, pilot_root: SpanId, cores: u32) -> f64 {
         return 0.0;
     };
     let Some(end) = root.end else { return 0.0 };
-    let Some(pilot) = trace.attr(root, "pilot") else {
+    let (Some(pilot_key), cores_key) = (trace.symbol("pilot"), trace.symbol("cores")) else {
+        return 0.0;
+    };
+    let Some(pilot) = trace.attr_sym(root, pilot_key) else {
         return 0.0;
     };
     let bootstrap = trace.symbol("pilot.bootstrap");
@@ -329,17 +332,16 @@ pub fn pilot_utilization(trace: &Trace, pilot_root: SpanId, cores: u32) -> f64 {
     }
     let mut busy: u128 = 0;
     for s in trace.iter_spans() {
-        if Some(s.name) != compute || trace.attr(s, "pilot") != Some(pilot) {
+        if Some(s.name) != compute || trace.attr_sym(s, pilot_key) != Some(pilot) {
             continue;
         }
         let Some(e) = s.end else { continue };
         let b = s.begin.0.clamp(start.0, end.0);
         let e = e.0.clamp(start.0, end.0);
-        let span_cores: u32 = trace
-            .attr(s, "cores")
-            .and_then(|c| c.parse().ok())
+        let span_cores = cores_key
+            .and_then(|k| trace.attr_sym(s, k)?.as_u64())
             .unwrap_or(1);
-        busy += (e.saturating_sub(b)) as u128 * span_cores as u128;
+        busy += (e.saturating_sub(b)) as u128 * u128::from(span_cores);
     }
     busy as f64 / (window as u128 * cores as u128) as f64
 }
@@ -473,20 +475,20 @@ mod tests {
     fn utilization_counts_compute_core_seconds_in_window() {
         let mut tr = Trace::enabled();
         let root = tr.span_begin(t(0), "pilot", "pilot.run", SpanId::NONE);
-        tr.span_attr(root, "pilot", "0");
+        tr.span_attr_u64(root, "pilot", 0);
         let b = tr.span_begin(t(0), "pilot", "pilot.bootstrap", root);
         tr.span_end(t(10), b);
         // Two 2-core compute spans of 20 s each inside a 4-core, 100 s
         // active window -> 80 core-s / 400 core-s = 0.2.
         for start in [20u64, 60] {
             let u = tr.span_begin(t(start), "unit", "unit.compute", SpanId::NONE);
-            tr.span_attr(u, "pilot", "0");
-            tr.span_attr(u, "cores", "2");
+            tr.span_attr_u64(u, "pilot", 0);
+            tr.span_attr_u64(u, "cores", 2);
             tr.span_end(t(start + 20), u);
         }
         // A compute span of a different pilot is ignored.
         let other = tr.span_begin(t(20), "unit", "unit.compute", SpanId::NONE);
-        tr.span_attr(other, "pilot", "1");
+        tr.span_attr_u64(other, "pilot", 1);
         tr.span_end(t(40), other);
         tr.span_end(t(110), root);
         let util = pilot_utilization(&tr, root, 4);

@@ -4,19 +4,27 @@
 //! begin/end **spans** — intervals with stable ids, parent links and
 //! key/value attributes. Tests and examples use the trace to assert on and
 //! display causal timelines; the phase profiler ([`crate::profile`]) walks
-//! the span tree to attribute wall-clock to the paper's phases. When
-//! disabled (the default) every recording call is a no-op, so an
-//! uninstrumented run stays bit-identical to an instrumented one.
+//! the span tree to attribute wall-clock to the paper's phases.
 //!
-//! Scaling (DESIGN.md §11): span names and attributes are interned
-//! [`Symbol`]s (4 bytes instead of an owned `String` each), and spans live
-//! in fixed-size chunks (`Vec<Vec<Span>>`) — an append-only sink that
-//! never reallocates or moves recorded spans, so a 100k-unit run appends
-//! in O(1) and readers stream chunk-by-chunk ([`Trace::iter_spans`],
-//! [`Trace::write_chrome_json`]) instead of demanding one contiguous
-//! buffer. The trace also tracks the live (begun-but-unended) span count
-//! and its high-water mark, which the scale gate caps.
+//! Pay as you go (DESIGN.md §9, §11). When disabled (the default) every
+//! recording call returns before it looks at its arguments: messages are
+//! taken as `impl Display` (call sites pass `format_args!`), attribute
+//! values as `&str`/`u64`, so an unobserved run formats and allocates
+//! nothing for observability and stays bit-identical to an observed one.
+//! When enabled, span names, attribute keys and vocabulary values are
+//! interned [`Symbol`]s; ids and counts are stored as integers and free
+//! text (unit names) in one per-trace arena, so the intern table is bounded
+//! by the vocabulary, not by the run's history. Integers, text and the two
+//! per-unit instant lines ([`Trace::record_line`]) are formatted only at
+//! export. Spans live in fixed-size chunks (`Vec<Vec<Span>>`) — an
+//! append-only sink that never reallocates or moves recorded spans, so a
+//! 100k-unit run appends in O(1) and readers stream chunk-by-chunk
+//! ([`Trace::iter_spans`], [`Trace::write_chrome_json`]) instead of
+//! demanding one contiguous buffer. The trace also tracks the live
+//! (begun-but-unended) span count and its high-water mark, which the scale
+//! gate caps.
 
+use std::fmt::{self, Write as _};
 use std::io;
 
 pub use crate::intern::{Symbol, SymbolTable};
@@ -27,12 +35,65 @@ use crate::time::SimTime;
 /// rules are stricter, but exports never pay a move/copy of the tail).
 const CHUNK: usize = 1024;
 
+/// Bytes the Chrome exporter buffers before handing them to the writer.
+const EXPORT_FLUSH: usize = 64 * 1024;
+
+/// Renders a stored instant-event line from its two arguments (see
+/// [`Trace::record_line`]).
+pub type LineFn = fn(&mut fmt::Formatter<'_>, u64, u32) -> fmt::Result;
+
+/// The message of an instant event: owned text, or a line kept as its
+/// renderer and arguments and formatted only when read.
+#[derive(Clone)]
+pub enum Message {
+    Text(String),
+    Line { render: LineFn, a: u64, b: u32 },
+}
+
+impl Message {
+    /// Whether the rendered message contains `needle`.
+    pub fn contains(&self, needle: &str) -> bool {
+        match self {
+            Message::Text(s) => s.contains(needle),
+            Message::Line { .. } => self.to_string().contains(needle),
+        }
+    }
+}
+
+impl fmt::Display for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Message::Text(s) => f.write_str(s),
+            Message::Line { render, a, b } => render(f, *a, *b),
+        }
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Message::Text(s) => fmt::Debug::fmt(s, f),
+            Message::Line { .. } => fmt::Debug::fmt(&self.to_string(), f),
+        }
+    }
+}
+
+/// Messages are equal when they render the same text.
+impl PartialEq for Message {
+    fn eq(&self, other: &Message) -> bool {
+        match (self, other) {
+            (Message::Text(a), Message::Text(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
 /// One recorded trace event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     pub time: SimTime,
     pub category: &'static str,
-    pub message: String,
+    pub message: Message,
 }
 
 /// Identifier of a span. Ids are assigned sequentially from 1 in begin
@@ -50,12 +111,63 @@ impl SpanId {
     }
 }
 
+/// A stored span attribute value, packed into 4 bytes so an attribute
+/// stays the size of a `(Symbol, Symbol)` pair: a vocabulary [`Symbol`],
+/// an integer (inline below 2^30, else in the trace's integer pool), or
+/// text in the trace's text arena. Read through [`Trace::attr`] and
+/// [`Trace::attrs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AttrValue(u32);
+
+impl AttrValue {
+    const SHIFT: u32 = 30;
+    const PAYLOAD: u32 = (1 << Self::SHIFT) - 1;
+    const SYMBOL: u32 = 0;
+    const INT: u32 = 1;
+    const POOLED_INT: u32 = 2;
+    const TEXT: u32 = 3;
+
+    fn new(tag: u32, payload: usize) -> AttrValue {
+        assert!(
+            payload <= Self::PAYLOAD as usize,
+            "span attribute table overflow"
+        );
+        AttrValue(tag << Self::SHIFT | payload as u32)
+    }
+
+    fn tag(self) -> u32 {
+        self.0 >> Self::SHIFT
+    }
+
+    fn payload(self) -> usize {
+        (self.0 & Self::PAYLOAD) as usize
+    }
+}
+
+/// A resolved attribute value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Attr<'a> {
+    /// A vocabulary symbol or free text.
+    Str(&'a str),
+    /// An id or a count.
+    U64(u64),
+}
+
+impl Attr<'_> {
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Attr::U64(n) => Some(n),
+            Attr::Str(_) => None,
+        }
+    }
+}
+
 /// A begin/end interval in virtual time. `end` is `None` while the span is
 /// open (and stays `None` forever for spans abandoned by a fault-killed
 /// attempt — exports and the profiler only consider completed spans).
 ///
-/// `name` and `attrs` are [`Symbol`]s into the owning trace's intern
-/// table; resolve with [`Trace::span_name`] / [`Trace::attr`].
+/// `name` and the attribute keys are [`Symbol`]s into the owning trace's
+/// intern table; resolve with [`Trace::span_name`] / [`Trace::attr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     pub id: SpanId,
@@ -64,7 +176,7 @@ pub struct Span {
     pub name: Symbol,
     pub begin: SimTime,
     pub end: Option<SimTime>,
-    pub attrs: Vec<(Symbol, Symbol)>,
+    pub attrs: Vec<(Symbol, AttrValue)>,
 }
 
 impl Span {
@@ -84,6 +196,11 @@ pub struct Trace {
     open: usize,
     peak_open: usize,
     syms: SymbolTable,
+    /// Integer attribute values too large to pack inline.
+    ints: Vec<u64>,
+    /// Text attribute values, concatenated; `text_ends[i]` ends the i-th.
+    text: String,
+    text_ends: Vec<usize>,
 }
 
 impl Trace {
@@ -102,13 +219,35 @@ impl Trace {
         self.enabled
     }
 
-    /// Record an instant event (no-op when disabled).
-    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl Into<String>) {
+    /// Record an instant event (no-op when disabled). `message` is
+    /// formatted only when the trace is on, so pass `format_args!(..)`,
+    /// never `format!(..)`.
+    pub fn record(&mut self, time: SimTime, category: &'static str, message: impl fmt::Display) {
         if self.enabled {
             self.events.push(TraceEvent {
                 time,
                 category,
-                message: message.into(),
+                message: Message::Text(message.to_string()),
+            });
+        }
+    }
+
+    /// Record an instant event stored as `render` plus its arguments and
+    /// formatted only when read or exported — for lines recorded once per
+    /// unit or more. No-op when disabled.
+    pub fn record_line(
+        &mut self,
+        time: SimTime,
+        category: &'static str,
+        render: LineFn,
+        a: u64,
+        b: u32,
+    ) {
+        if self.enabled {
+            self.events.push(TraceEvent {
+                time,
+                category,
+                message: Message::Line { render, a, b },
             });
         }
     }
@@ -146,15 +285,49 @@ impl Trace {
         id
     }
 
-    /// Attach a key/value attribute to an open span (no-op on `NONE`).
-    pub fn span_attr(&mut self, id: SpanId, key: &str, value: impl AsRef<str>) {
+    /// Attach a vocabulary attribute — a value from a small fixed set,
+    /// such as an access mode or a resource name — interned as a
+    /// [`Symbol`] (no-op on `NONE`). Ids, counts and per-unit names go
+    /// through [`Trace::span_attr_u64`] / [`Trace::span_attr_text`], which
+    /// never grow the intern table.
+    pub fn span_attr(&mut self, id: SpanId, key: &str, value: &str) {
         if id.is_none() {
             return;
         }
+        let value = AttrValue::new(AttrValue::SYMBOL, self.syms.intern(value).index());
+        self.push_attr(id, key, value);
+    }
+
+    /// Attach an integer attribute (an id or a count), formatted at
+    /// export (no-op on `NONE`).
+    pub fn span_attr_u64(&mut self, id: SpanId, key: &str, value: u64) {
+        if id.is_none() {
+            return;
+        }
+        let value = if value <= u64::from(AttrValue::PAYLOAD) {
+            AttrValue::new(AttrValue::INT, value as usize)
+        } else {
+            self.ints.push(value);
+            AttrValue::new(AttrValue::POOLED_INT, self.ints.len() - 1)
+        };
+        self.push_attr(id, key, value);
+    }
+
+    /// Attach free text, such as a unit name, copied into the trace's text
+    /// arena (no-op on `NONE`).
+    pub fn span_attr_text(&mut self, id: SpanId, key: &str, value: &str) {
+        if id.is_none() {
+            return;
+        }
+        self.text.push_str(value);
+        self.text_ends.push(self.text.len());
+        let value = AttrValue::new(AttrValue::TEXT, self.text_ends.len() - 1);
+        self.push_attr(id, key, value);
+    }
+
+    fn push_attr(&mut self, id: SpanId, key: &str, value: AttrValue) {
         let key = self.syms.intern(key);
-        let value = self.syms.intern(value.as_ref());
-        let span = self.span_mut(id);
-        span.attrs.push((key, value));
+        self.span_mut(id).attrs.push((key, value));
     }
 
     /// Close a span (no-op on `NONE` or if already closed).
@@ -258,20 +431,39 @@ impl Trace {
         &self.syms
     }
 
-    /// Value of a span attribute, resolved.
-    pub fn attr<'a>(&'a self, span: &Span, key: &str) -> Option<&'a str> {
-        let key = self.syms.lookup(key)?;
+    /// Resolve a stored attribute value.
+    fn value(&self, v: AttrValue) -> Attr<'_> {
+        let i = v.payload();
+        match v.tag() {
+            AttrValue::SYMBOL => Attr::Str(self.syms.resolve(Symbol(i as u32))),
+            AttrValue::INT => Attr::U64(i as u64),
+            AttrValue::POOLED_INT => Attr::U64(self.ints[i]),
+            _ => {
+                let start = if i == 0 { 0 } else { self.text_ends[i - 1] };
+                Attr::Str(&self.text[start..self.text_ends[i]])
+            }
+        }
+    }
+
+    /// Value of a span attribute.
+    pub fn attr(&self, span: &Span, key: &str) -> Option<Attr<'_>> {
+        self.attr_sym(span, self.syms.lookup(key)?)
+    }
+
+    /// Value of a span attribute by key symbol (look the key up once with
+    /// [`Trace::symbol`] when scanning many spans).
+    pub fn attr_sym(&self, span: &Span, key: Symbol) -> Option<Attr<'_>> {
         span.attrs
             .iter()
             .find(|(k, _)| *k == key)
-            .map(|&(_, v)| self.syms.resolve(v))
+            .map(|&(_, v)| self.value(v))
     }
 
     /// A span's attributes as resolved `(key, value)` pairs.
-    pub fn attrs<'a>(&'a self, span: &'a Span) -> impl Iterator<Item = (&'a str, &'a str)> {
+    pub fn attrs<'a>(&'a self, span: &'a Span) -> impl Iterator<Item = (&'a str, Attr<'a>)> {
         span.attrs
             .iter()
-            .map(|&(k, v)| (self.syms.resolve(k), self.syms.resolve(v)))
+            .map(|&(k, v)| (self.syms.resolve(k), self.value(v)))
     }
 
     /// Completed root spans (no parent) with the given name, in id order.
@@ -296,80 +488,125 @@ impl Trace {
     /// `"ph":"b"`/`"ph":"e"` pairs keyed by span id (no per-thread stack
     /// discipline required), grouped by category as thread names.
     ///
-    /// Streams chunk-by-chunk into `w` — peak memory is one span's
-    /// rendering, not the document, so scale-run traces export without
-    /// materializing hundreds of MB. [`Trace::to_chrome_json`] wraps this
-    /// for small traces.
+    /// Streams into `w` through one reused buffer of about
+    /// `EXPORT_FLUSH` bytes: names, keys and categories are escaped once
+    /// per distinct string, integers and text are formatted straight into
+    /// the buffer, so a scale-run trace exports without materializing the
+    /// document or a `String` per field. [`Trace::to_chrome_json`] wraps
+    /// this for small traces.
     pub fn write_chrome_json<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut cats: Vec<&'static str> = self
+        // Distinct categories in sorted order; a category's thread id is
+        // its rank + 1. Consecutive records mostly share a category.
+        let mut cats: Vec<&'static str> = Vec::new();
+        let mut last: Option<&'static str> = None;
+        for c in self
             .events
             .iter()
             .map(|e| e.category)
             .chain(self.iter_spans().map(|s| s.category))
-            .collect();
-        cats.sort_unstable();
-        cats.dedup();
-        let tid = |c: &str| cats.iter().position(|&x| x == c).unwrap_or(0) + 1;
-        w.write_all(b"[")?;
-        for (i, c) in cats.iter().enumerate() {
-            if i > 0 {
-                w.write_all(b",")?;
+        {
+            if last != Some(c) {
+                if let Err(at) = cats.binary_search(&c) {
+                    cats.insert(at, c);
+                }
+                last = Some(c);
             }
-            write!(
-                w,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                tid(c),
-                escape_json(c)
-            )?;
+        }
+        let tid = |c: &str| cats.binary_search(&c).map_or(0, |i| i) as u64 + 1;
+        let cat_json: Vec<String> = cats.iter().map(|c| escape_json(c)).collect();
+        let sym_json: Vec<String> = self.syms.names().iter().map(|n| escape_json(n)).collect();
+
+        let mut out = String::with_capacity(EXPORT_FLUSH + 1024);
+        let mut line = String::new();
+        out.push('[');
+        for (i, c) in cat_json.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+            push_u64(&mut out, i as u64 + 1);
+            out.push_str(",\"args\":{\"name\":\"");
+            out.push_str(c);
+            out.push_str("\"}}");
         }
         for e in &self.events {
-            write!(
-                w,
-                ",{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                escape_json(&e.message),
-                e.time.0,
-                tid(e.category)
-            )?;
+            out.push_str(",{\"name\":\"");
+            match &e.message {
+                Message::Text(s) => escape_into(&mut out, s),
+                m => {
+                    line.clear();
+                    let _ = write!(line, "{m}");
+                    escape_into(&mut out, &line);
+                }
+            }
+            out.push_str("\",\"ph\":\"i\",\"ts\":");
+            push_u64(&mut out, e.time.0);
+            out.push_str(",\"pid\":1,\"tid\":");
+            push_u64(&mut out, tid(e.category));
+            out.push_str(",\"s\":\"t\"}");
+            if out.len() >= EXPORT_FLUSH {
+                w.write_all(out.as_bytes())?;
+                out.clear();
+            }
         }
         for s in self.iter_spans() {
             let Some(end) = s.end else { continue };
-            let mut args = String::new();
+            let tid = tid(s.category);
+            let cat = &cat_json[tid as usize - 1];
+            let name = &sym_json[s.name.index()];
+            out.push_str(",{\"name\":\"");
+            out.push_str(name);
+            out.push_str("\",\"cat\":\"");
+            out.push_str(cat);
+            out.push_str("\",\"ph\":\"b\",\"ts\":");
+            push_u64(&mut out, s.begin.0);
+            out.push_str(",\"pid\":1,\"tid\":");
+            push_u64(&mut out, tid);
+            out.push_str(",\"id\":\"0x");
+            push_hex(&mut out, s.id.0);
+            out.push_str("\",\"args\":{");
+            let mut first = true;
             if let Some(p) = s.parent {
-                args.push_str(&format!("\"parent\":\"0x{:x}\"", p.0));
+                out.push_str("\"parent\":\"0x");
+                push_hex(&mut out, p.0);
+                out.push('"');
+                first = false;
             }
-            for (k, v) in &s.attrs {
-                if !args.is_empty() {
-                    args.push(',');
+            for &(k, v) in &s.attrs {
+                if !first {
+                    out.push(',');
                 }
-                args.push_str(&format!(
-                    "\"{}\":\"{}\"",
-                    escape_json(self.syms.resolve(*k)),
-                    escape_json(self.syms.resolve(*v))
-                ));
+                first = false;
+                out.push('"');
+                out.push_str(&sym_json[k.index()]);
+                out.push_str("\":\"");
+                match v.tag() {
+                    AttrValue::SYMBOL => out.push_str(&sym_json[v.payload()]),
+                    _ => match self.value(v) {
+                        Attr::U64(n) => push_u64(&mut out, n),
+                        Attr::Str(text) => escape_into(&mut out, text),
+                    },
+                }
+                out.push('"');
             }
-            let name = escape_json(self.syms.resolve(s.name));
-            write!(
-                w,
-                ",{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"b\",\"ts\":{},\"pid\":1,\"tid\":{},\"id\":\"0x{:x}\",\"args\":{{{}}}}}",
-                name,
-                escape_json(s.category),
-                s.begin.0,
-                tid(s.category),
-                s.id.0,
-                args
-            )?;
-            write!(
-                w,
-                ",{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"e\",\"ts\":{},\"pid\":1,\"tid\":{},\"id\":\"0x{:x}\"}}",
-                name,
-                escape_json(s.category),
-                end.0,
-                tid(s.category),
-                s.id.0
-            )?;
+            out.push_str("}},{\"name\":\"");
+            out.push_str(name);
+            out.push_str("\",\"cat\":\"");
+            out.push_str(cat);
+            out.push_str("\",\"ph\":\"e\",\"ts\":");
+            push_u64(&mut out, end.0);
+            out.push_str(",\"pid\":1,\"tid\":");
+            push_u64(&mut out, tid);
+            out.push_str(",\"id\":\"0x");
+            push_hex(&mut out, s.id.0);
+            out.push_str("\"}");
+            if out.len() >= EXPORT_FLUSH {
+                w.write_all(out.as_bytes())?;
+                out.clear();
+            }
         }
-        w.write_all(b"]")?;
-        Ok(())
+        out.push(']');
+        w.write_all(out.as_bytes())
     }
 
     /// [`Trace::write_chrome_json`] into a `String` (small traces,
@@ -384,12 +621,13 @@ impl Trace {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&format!(
-                "{:>12} [{:<10}] {}\n",
-                format!("{}", e.time),
+            let _ = writeln!(
+                out,
+                "{:>12} [{:<10}] {}",
+                e.time.to_string(),
                 e.category,
                 e.message
-            ));
+            );
         }
         out
     }
@@ -418,6 +656,26 @@ impl Trace {
         }
         out
     }
+}
+
+/// Append the decimal digits of `n`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Append the lowercase hex digits of `n` (no `0x`).
+fn push_hex(out: &mut String, n: u64) {
+    let _ = write!(out, "{n:x}");
 }
 
 /// Parent → children adjacency over a trace, in CSR form: one O(n) build,
@@ -469,18 +727,36 @@ impl SpanIndex {
 /// characters (newlines and tabs in messages used to produce invalid JSON).
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape_json`] appending to `out`: unescaped runs are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `i` holds an ASCII byte, so both slices end on char boundaries.
+        out.push_str(&s[run..i]);
+        if escaped.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escaped);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Summary of a validated Chrome trace (see [`validate_chrome_json`]).
@@ -690,6 +966,8 @@ mod tests {
         let id = t.span_begin(SimTime(5), "x", "s", SpanId::NONE);
         assert!(id.is_none());
         t.span_attr(id, "k", "v");
+        t.span_attr_u64(id, "n", 1);
+        t.span_attr_text(id, "t", "x");
         t.span_end(SimTime(9), id);
         assert!(t.events().is_empty());
         assert_eq!(t.span_count(), 0);
@@ -722,9 +1000,12 @@ mod tests {
         assert_eq!(c.parent, Some(root));
         assert_eq!(c.duration().unwrap().0, 40);
         assert_eq!(t.span_name(c), "pilot.bootstrap");
-        assert_eq!(t.attr(c, "mode"), Some("I"));
+        assert_eq!(t.attr(c, "mode"), Some(Attr::Str("I")));
         assert_eq!(t.attr(c, "nope"), None);
-        assert_eq!(t.attrs(c).collect::<Vec<_>>(), vec![("mode", "I")],);
+        assert_eq!(
+            t.attrs(c).collect::<Vec<_>>(),
+            vec![("mode", Attr::Str("I"))]
+        );
         assert_eq!(t.roots_named("pilot.run").count(), 1);
     }
 
@@ -773,6 +1054,63 @@ mod tests {
     }
 
     #[test]
+    fn typed_attributes_resolve_and_keep_the_intern_table_bounded() {
+        let mut t = Trace::enabled();
+        for i in 0..3_000u64 {
+            let s = t.span_begin(SimTime(i), "unit", "unit.run", SpanId::NONE);
+            t.span_attr_u64(s, "unit", i);
+            t.span_attr_text(s, "name", &format!("u{i}"));
+            t.span_attr(s, "mode", "II");
+            t.span_end(SimTime(i + 1), s);
+        }
+        // "", "unit.run", "unit", "name", "mode", "II": history adds none.
+        assert_eq!(t.symbols().len(), 6);
+        let s = t.span(SpanId(1_235)).unwrap();
+        assert_eq!(t.attr(s, "unit"), Some(Attr::U64(1_234)));
+        assert_eq!(t.attr(s, "name"), Some(Attr::Str("u1234")));
+        assert_eq!(t.attr(s, "mode"), Some(Attr::Str("II")));
+        assert_eq!(t.attr(s, "unit").and_then(Attr::as_u64), Some(1_234));
+        assert_eq!(t.attr(s, "name").and_then(Attr::as_u64), None);
+        // An attribute costs what a (Symbol, Symbol) pair did.
+        assert_eq!(
+            std::mem::size_of::<(Symbol, AttrValue)>(),
+            std::mem::size_of::<(Symbol, Symbol)>()
+        );
+    }
+
+    #[test]
+    fn integers_beyond_the_inline_range_round_trip() {
+        let mut t = Trace::enabled();
+        let s = t.span_begin(SimTime(0), "x", "s", SpanId::NONE);
+        let edge = u64::from(AttrValue::PAYLOAD);
+        for v in [0, edge, edge + 1, u64::MAX] {
+            t.span_attr_u64(s, &format!("k{v}"), v);
+        }
+        let span = t.span(s).unwrap();
+        let got: Vec<u64> = t.attrs(span).filter_map(|(_, v)| v.as_u64()).collect();
+        assert_eq!(got, vec![0, edge, edge + 1, u64::MAX]);
+        assert_eq!(t.ints.len(), 2, "only values above the inline range pool");
+    }
+
+    #[test]
+    fn stored_lines_render_and_compare_like_text() {
+        fn line(f: &mut fmt::Formatter<'_>, a: u64, b: u32) -> fmt::Result {
+            write!(f, "UnitId({a}) -> {}", ["Done", "Failed"][b as usize])
+        }
+        let mut t = Trace::enabled();
+        t.record_line(SimTime(1), "unit", line, 7, 1);
+        t.record(SimTime(1), "unit", format_args!("UnitId({}) -> Failed", 7));
+        let [a, b] = t.events() else {
+            panic!("two events")
+        };
+        assert_eq!(a.message.to_string(), "UnitId(7) -> Failed");
+        assert_eq!(a, b);
+        assert!(a.message.contains("-> Failed"));
+        assert_eq!(format!("{:?}", a.message), format!("{:?}", b.message));
+        assert!(t.find("UnitId(7)").is_some());
+    }
+
+    #[test]
     fn span_end_is_idempotent() {
         let mut t = Trace::enabled();
         let s = t.span_begin(SimTime(1), "x", "s", SpanId::NONE);
@@ -811,7 +1149,7 @@ mod tests {
         let mut t = Trace::enabled();
         let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
         let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root);
-        t.span_attr(child, "bytes", "1024");
+        t.span_attr_u64(child, "bytes", 1024);
         t.span_end(SimTime(9), child);
         t.span_end(SimTime(20), root);
         let open = t.span_begin(SimTime(21), "unit", "abandoned", SpanId::NONE);
@@ -831,7 +1169,7 @@ mod tests {
         t.record(SimTime(1), "pilot", "launch \"x\"\nnext");
         let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
         let child = t.span_begin(SimTime(5), "unit", "unit.stage_in", root);
-        t.span_attr(child, "bytes", "1024");
+        t.span_attr_u64(child, "bytes", 1024);
         t.span_end(SimTime(9), child);
         t.span_end(SimTime(20), root);
         let j = t.to_chrome_json();

@@ -135,7 +135,7 @@ impl SparkCluster {
         engine.trace.record(
             engine.now(),
             "spark",
-            format!("bootstrap on {} nodes ({total})", nodes.len()),
+            format_args!("bootstrap on {} nodes ({total})", nodes.len()),
         );
         engine.schedule_in(total, move |eng| {
             let sc = SparkCluster {
@@ -234,7 +234,7 @@ impl SparkCluster {
         }
         engine
             .trace
-            .record(engine.now(), "spark", format!("{id:?} finished"));
+            .record(engine.now(), "spark", format_args!("{id:?} finished"));
     }
 
     /// Total free executor cores right now.

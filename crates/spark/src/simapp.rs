@@ -111,7 +111,7 @@ fn run_stage(
     engine.trace.record(
         engine.now(),
         "spark",
-        format!("{} stage '{}' starting", spec.name, stage.name),
+        format_args!("{} stage '{}' starting", spec.name, stage.name),
     );
 
     // 1. Input read: executors stream their partitions from Lustre in

@@ -64,7 +64,7 @@ pub fn bootstrap_mode_i_in_span(
     engine.trace.span_attr(yarn_span, "mode", "I");
     engine
         .trace
-        .span_attr(yarn_span, "nodes", nodes.len().to_string());
+        .span_attr_u64(yarn_span, "nodes", nodes.len() as u64);
 
     // Stage 1: fetch the distribution (skipped when a shared install or
     // staged tarball exists).
@@ -96,7 +96,7 @@ pub fn bootstrap_mode_i_in_span(
     engine.trace.record(
         engine.now(),
         "yarn",
-        format!(
+        format_args!(
             "mode-I bootstrap on {} nodes (download {:.1}s, daemons {:.1}s)",
             nodes.len(),
             prep.as_secs_f64(),
@@ -117,7 +117,7 @@ pub fn bootstrap_mode_i_in_span(
             eng.trace.record(
                 eng.now(),
                 "yarn",
-                format!("mode-I ready after {}", env.bootstrap_time),
+                format_args!("mode-I ready after {}", env.bootstrap_time),
             );
             eng.trace.span_end(eng.now(), yarn_span);
             on_ready(eng, env);

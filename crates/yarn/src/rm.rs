@@ -259,9 +259,11 @@ impl YarnCluster {
             );
             id
         };
-        engine
-            .trace
-            .record(engine.now(), "yarn", format!("submit {name} as {id:?}"));
+        engine.trace.record(
+            engine.now(),
+            "yarn",
+            format_args!("submit {name} as {id:?}"),
+        );
         engine.metrics.incr("yarn.apps_submitted");
         let this = self.clone();
         let resource = am_request.resource;
@@ -396,7 +398,7 @@ impl YarnCluster {
             engine.trace.record(
                 engine.now(),
                 "yarn",
-                format!("preempted {:?} of {:?}", container.id, container.app),
+                format_args!("preempted {:?} of {:?}", container.id, container.app),
             );
             engine.metrics.incr("yarn.preemptions");
             if let Some(h) = handler {
@@ -438,7 +440,7 @@ impl YarnCluster {
         engine.trace.record(
             engine.now(),
             "yarn",
-            format!(
+            format_args!(
                 "node {node} failed: {} task containers lost, {} apps dead",
                 lost_tasks.len(),
                 dead_apps.len()
@@ -584,7 +586,7 @@ impl YarnCluster {
         engine.trace.record(
             engine.now(),
             "yarn",
-            format!(
+            format_args!(
                 "allocate {:?} for {:?} on {} ({})",
                 container.id,
                 container.app,
@@ -654,11 +656,10 @@ impl YarnCluster {
         }
         engine
             .trace
-            .record(engine.now(), "yarn", format!("{id:?} -> {state:?}"));
-        engine.metrics.incr_labeled(
-            "yarn.apps_finished",
-            &[("state", &format!("{state:?}").to_lowercase())],
-        );
+            .record(engine.now(), "yarn", format_args!("{id:?} -> {state:?}"));
+        engine
+            .metrics
+            .incr_labeled("yarn.apps_finished", &[("state", state.label())]);
         self.ensure_tick(engine);
     }
 }
@@ -666,6 +667,16 @@ impl YarnCluster {
 impl AppState {
     pub fn is_final(self) -> bool {
         matches!(self, AppState::Finished | AppState::Killed)
+    }
+
+    /// Lowercase name, the `state` label of `yarn.apps_finished`.
+    pub fn label(self) -> &'static str {
+        match self {
+            AppState::Accepted => "accepted",
+            AppState::Running => "running",
+            AppState::Finished => "finished",
+            AppState::Killed => "killed",
+        }
     }
 }
 

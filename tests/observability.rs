@@ -14,7 +14,9 @@
 use std::collections::BTreeMap;
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{validate_chrome_json, Engine, FaultPlan, SimDuration, Span, SpanId, Trace};
+use hadoop_hpc::sim::{
+    validate_chrome_json, Attr, Engine, FaultPlan, SimDuration, SimTime, Span, SpanId, Trace,
+};
 
 /// The `determinism.rs` mixed workload, but traced: a 2-node pilot with the
 /// given access mode running 12 heterogeneous Compute units to completion,
@@ -282,10 +284,12 @@ fn fault_matrix_span_invariants_survive_crash_requeue() {
             // Every retried unit's extra attempts show up as extra
             // scheduling spans under its unchanged root.
             for u in &units {
-                let unit_id = u.id().0.to_string();
                 let root = tr
                     .iter_spans()
-                    .find(|s| tr.span_name(s) == "unit.run" && tr.attr(s, "unit") == Some(&unit_id))
+                    .find(|s| {
+                        tr.span_name(s) == "unit.run"
+                            && tr.attr(s, "unit") == Some(Attr::U64(u.id().0))
+                    })
                     .expect("every unit has a root span");
                 let sched = children(tr, root.id)
                     .iter()
@@ -320,4 +324,88 @@ fn fault_matrix_span_invariants_survive_crash_requeue() {
         saw_abandoned,
         "matrix must exercise at least one abandoned span"
     );
+}
+
+/// Compare `actual` with `tests/golden/<name>` byte for byte. Regenerate
+/// (only for an intended change of the export format) with
+/// `REGEN_GOLDEN=1 cargo test --test observability`.
+fn check_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("REGEN_GOLDEN").is_ok() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expect = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e} (REGEN_GOLDEN=1 creates it)", path.display()));
+    if actual != expect {
+        let at = actual
+            .bytes()
+            .zip(expect.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or(actual.len().min(expect.len()));
+        let from = at.saturating_sub(80);
+        panic!(
+            "{name}: export differs from the golden at byte {at}\n  got:    {:?}\n  golden: {:?}",
+            &actual[from..(at + 80).min(actual.len())],
+            &expect[from..(at + 80).min(expect.len())]
+        );
+    }
+}
+
+#[test]
+fn mode_i_chrome_export_matches_golden() {
+    let e = traced_mixed(
+        42,
+        "xsede.stampede",
+        AccessMode::YarnModeI { with_hdfs: true },
+    );
+    check_golden("chrome_mode_i.json", &e.trace.to_chrome_json());
+}
+
+#[test]
+fn mode_ii_chrome_export_matches_golden() {
+    let e = traced_mixed(42, "xsede.wrangler", AccessMode::YarnModeII);
+    check_golden("chrome_mode_ii.json", &e.trace.to_chrome_json());
+}
+
+/// Every escaping and attribute case of the exporter in one small trace:
+/// quotes, backslashes, newlines, tabs and other control characters in
+/// messages, names and attribute values; integer attributes (small and
+/// beyond 32 bits); owned-text attributes; an abandoned span, which the
+/// export omits.
+#[test]
+fn hand_built_chrome_export_matches_golden() {
+    let mut t = Trace::enabled();
+    t.record(SimTime(1), "pilot", "launch \"x\" \\ path");
+    t.record(
+        SimTime(2),
+        "agent",
+        "line1\nline2\tcol\rret\u{1}bell\u{1f}\u{7f}é",
+    );
+    t.record_line(
+        SimTime(2),
+        "pilot",
+        |f, id, state| write!(f, "{:?} -> {}", SpanId(id), ["Done"][state as usize]),
+        7,
+        0,
+    );
+    let root = t.span_begin(SimTime(0), "unit", "unit.run", SpanId::NONE);
+    t.span_attr_u64(root, "unit", 42);
+    t.span_attr_text(root, "name", "u\"42\"\n\u{2}");
+    t.span_attr_u64(root, "pilot", 0);
+    let child = t.span_begin(SimTime(5), "unit", "unit.\"stage_in\"", root);
+    t.span_attr_u64(child, "bytes", u64::MAX);
+    t.span_attr_u64(child, "cores", 1 << 31);
+    t.span_attr(child, "mode", "I");
+    t.span_end(SimTime(9), child);
+    let abandoned = t.span_begin(SimTime(10), "agent", "unit.exec", root);
+    t.span_attr_u64(abandoned, "cores", 3);
+    t.span_end(SimTime(20), root);
+    let other = t.span_begin(SimTime(21), "a\tcat", "pilot.run", SpanId::NONE);
+    t.span_end(SimTime(30), other);
+    let json = t.to_chrome_json();
+    validate_chrome_json(&json).unwrap();
+    check_golden("chrome_hand_built.json", &json);
 }
