@@ -10,9 +10,10 @@
 //! Launch Method, and completion flows back through the coordination
 //! store.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::ops::RangeBounds;
 use std::rc::Rc;
 
 use rp_hpc::{Allocation, IoKind, NodeId, StorageTarget};
@@ -58,13 +59,34 @@ enum Placement {
 /// staging error exhausted the unit's retry budget.
 type StagingDone = Box<dyn FnOnce(&mut Engine, bool)>;
 
-/// A unit the agent currently owns resources for (staging, spawner queue
-/// or executing). The `alive` flag lets the recovery path invalidate an
-/// attempt's pending continuations without being able to cancel them.
-struct ActiveRun {
+/// What a continuation of an attempt holds instead of the attempt itself:
+/// the unit id plus the generation the attempt (or its current YARN
+/// container) started under. Once the record is dropped or re-generated
+/// the key is stale and [`AttemptKey::resolve`] answers `None`.
+#[derive(Clone, Copy)]
+struct AttemptKey {
+    unit: u64,
+    gen: u64,
+}
+
+/// Where an attempt is in its life on this agent.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    /// Staging in, queued for the spawner, launching or executing: the
+    /// Heartbeat Monitor may kill it.
+    Running,
+    /// Past execution: staging out or awaiting the Done round trip.
+    Finishing,
+}
+
+/// One Compute-Unit attempt the agent owns resources for. The record is
+/// the only owner of the placement, so a stale continuation has nothing
+/// to release and no unit to advance.
+struct Attempt {
     unit: UnitHandle,
     placement: Placement,
-    alive: Rc<Cell<bool>>,
+    gen: u64,
+    phase: Phase,
 }
 
 /// Dense per-node slot accounting for the plain scheduler.
@@ -206,22 +228,19 @@ struct AgentInner {
     yarn_inflight: Resource,
     spark_inflight_cores: u32,
     queue: VecDeque<UnitHandle>,
-    /// Units staged and waiting for the (serial) Task Spawner.
-    spawn_queue: VecDeque<(UnitHandle, Placement, Rc<Cell<bool>>)>,
+    /// Attempts staged and waiting for the (serial) Task Spawner.
+    spawn_queue: VecDeque<AttemptKey>,
     spawner_busy: bool,
-    running: usize,
     stopping: bool,
     /// Pending injected staging errors: each one fails the next staging
     /// directive once.
     staging_faults: u32,
-    /// Live attempts owning agent resources, keyed by unit id. The
-    /// Heartbeat Monitor scans these for runs stranded on dead nodes.
-    active: BTreeMap<u64, ActiveRun>,
-    /// Units past execution (staging out / awaiting the Done round trip).
-    /// Ownership token: `terminate` drains this map, so a completion
-    /// callback that fires after the pilot died finds its unit gone and
-    /// must not flip the (possibly re-bound) unit's state.
-    finishing: BTreeMap<u64, UnitHandle>,
+    /// Every attempt owning agent resources, keyed by unit id. The
+    /// Heartbeat Monitor scans the running ones for work stranded on
+    /// dead nodes; every kill path goes through `drop_attempts`.
+    attempts: BTreeMap<u64, Attempt>,
+    /// Generation of the next attempt or YARN container restart.
+    next_gen: u64,
     /// Hard end of the allocation (start + walltime): the reference for
     /// walltime-aware draining.
     deadline: Option<SimTime>,
@@ -242,8 +261,8 @@ struct AgentInner {
     /// agent's view is never later than the store's).
     lease_deadline: SimTime,
     /// Self-fenced: the lease expired without renewal. The agent stops
-    /// dispatching, drops in-flight completion tokens and waits to
-    /// re-acquire at a fresh epoch once reachable again.
+    /// dispatching, drops its attempts and waits to re-acquire at a
+    /// fresh epoch once reachable again.
     fenced: bool,
 }
 
@@ -310,11 +329,10 @@ impl Agent {
                         queue: VecDeque::new(),
                         spawn_queue: VecDeque::new(),
                         spawner_busy: false,
-                        running: 0,
                         stopping: false,
                         staging_faults: 0,
-                        active: BTreeMap::new(),
-                        finishing: BTreeMap::new(),
+                        attempts: BTreeMap::new(),
+                        next_gen: 0,
                         deadline,
                         degraded: false,
                         am_pool: Vec::new(),
@@ -437,7 +455,7 @@ impl Agent {
     fn ensure_heartbeat(&self, engine: &mut Engine) {
         {
             let mut inner = self.inner.borrow_mut();
-            let busy = inner.running > 0
+            let busy = !inner.attempts.is_empty()
                 || !inner.queue.is_empty()
                 || inner.fenced
                 || inner.store.leases_enabled();
@@ -457,7 +475,7 @@ impl Agent {
                 inner.heartbeats += 1;
                 (
                     inner.pilot,
-                    inner.running > 0
+                    !inner.attempts.is_empty()
                         || !inner.queue.is_empty()
                         || inner.fenced
                         || inner.store.leases_enabled(),
@@ -542,36 +560,23 @@ impl Agent {
     /// Self-fence: the ownership lease expired without renewal, so from
     /// this virtual instant the agent must produce no more side effects —
     /// the Unit-Manager is free to re-bind the moment expiry + grace
-    /// passes. Queued work is dropped (the UM still tracks it), live
-    /// attempts are invalidated, and in-flight stage-out/completion
-    /// callbacks find their `finishing` ownership tokens gone. Unlike
-    /// `hang`, the agent stays registered and keeps ticking: after the
-    /// partition heals it may re-acquire at a fresh epoch.
+    /// passes. Queued work is dropped (the UM still tracks it) and so is
+    /// every attempt, which turns their pending continuations (launches,
+    /// completions, stage-outs) into no-ops. Unlike `hang`, the agent
+    /// stays registered and keeps ticking: after the partition heals it
+    /// may re-acquire at a fresh epoch.
     fn self_fence(&self, engine: &mut Engine) {
-        let (pilot, active, spawn) = {
+        let pilot = {
             let mut inner = self.inner.borrow_mut();
             if inner.fenced {
                 return;
             }
             inner.fenced = true;
-            inner.finishing.clear();
             inner.queue.clear();
-            // Invalidated attempts will never release their bookkeeping
-            // (their completion events die on the alive flag), so the
-            // running count is reset here rather than leaked.
-            inner.running = 0;
-            (
-                inner.pilot,
-                std::mem::take(&mut inner.active),
-                std::mem::take(&mut inner.spawn_queue),
-            )
+            inner.spawn_queue.clear();
+            inner.drop_attempts(.., |_| true);
+            inner.pilot
         };
-        for (_, run) in active {
-            run.alive.set(false);
-        }
-        for (_, _, alive) in spawn {
-            alive.set(false);
-        }
         engine.metrics.incr("agent.self_fences");
         engine.trace.record(
             engine.now(),
@@ -596,7 +601,7 @@ impl Agent {
     }
 
     pub fn running_units(&self) -> usize {
-        self.inner.borrow().running
+        self.inner.borrow().attempts.len()
     }
 
     /// Tear the agent down: cancel queued units, stop Mode I frameworks
@@ -647,7 +652,7 @@ impl Agent {
             self.stop(engine);
             return;
         }
-        let (queued, spawn, active, finishing, access, pool, pilot) = {
+        let (queued, spawn, mut dropped, access, pool, pilot) = {
             let mut inner = self.inner.borrow_mut();
             if inner.stopping {
                 return;
@@ -656,42 +661,33 @@ impl Agent {
             (
                 std::mem::take(&mut inner.queue),
                 std::mem::take(&mut inner.spawn_queue),
-                std::mem::take(&mut inner.active),
-                std::mem::take(&mut inner.finishing),
+                inner.drop_attempts(.., |_| true),
                 inner.access.clone(),
                 std::mem::take(&mut inner.am_pool),
                 inner.pilot,
             )
         };
         self.inner.borrow().store.deregister_agent(pilot);
-        // Collect every unfinished unit the agent owns, exactly once.
-        // Killed attempts deliberately abandon their compute spans (same
-        // convention as node-crash recovery); the unit-level span closes
-        // when the Unit-Manager re-binds or fails the unit.
-        let mut seen = BTreeSet::new();
-        let mut unfinished = Vec::new();
-        for u in queued {
-            if seen.insert(u.id().0) && !u.state().is_final() {
-                unfinished.push(u);
-            }
-        }
-        for (u, _, alive) in spawn {
-            alive.set(false);
-            if seen.insert(u.id().0) && !u.state().is_final() {
-                unfinished.push(u);
-            }
-        }
-        for (_, run) in active {
-            run.alive.set(false);
-            if seen.insert(run.unit.id().0) && !run.unit.state().is_final() {
-                unfinished.push(run.unit);
-            }
-        }
-        for (id, u) in finishing {
-            if seen.insert(id) && !u.state().is_final() {
-                unfinished.push(u);
-            }
-        }
+        // Return every unfinished unit the agent owns: queued, then
+        // waiting for the spawner, then the other running attempts, then
+        // finishing ones (each group by unit id). Killed attempts
+        // deliberately abandon their compute spans (same convention as
+        // node-crash recovery); the unit-level span closes when the
+        // Unit-Manager re-binds or fails the unit.
+        let spawn_pos: BTreeMap<(u64, u64), usize> = spawn
+            .iter()
+            .enumerate()
+            .map(|(i, k)| ((k.unit, k.gen), i))
+            .collect();
+        dropped.sort_by_key(|a| {
+            let pos = spawn_pos.get(&(a.unit.id().0, a.gen));
+            (pos.copied().unwrap_or(usize::MAX), a.phase)
+        });
+        let unfinished: Vec<UnitHandle> = queued
+            .into_iter()
+            .chain(dropped.into_iter().map(|a| a.unit))
+            .filter(|u| !u.state().is_final())
+            .collect();
         for am in pool {
             am.finish(engine);
         }
@@ -723,18 +719,15 @@ impl Agent {
     /// Stranded work is only recovered by a Unit-Manager heartbeat-gap
     /// monitor or, eventually, the allocation's walltime expiry.
     pub fn hang(&self, engine: &mut Engine) {
-        let (active, pilot) = {
+        let pilot = {
             let mut inner = self.inner.borrow_mut();
             if inner.stopping {
                 return;
             }
             inner.stopping = true;
-            inner.finishing.clear();
-            (std::mem::take(&mut inner.active), inner.pilot)
+            inner.drop_attempts(.., |_| true);
+            inner.pilot
         };
-        for (_, run) in active {
-            run.alive.set(false);
-        }
         self.inner.borrow().store.deregister_agent(pilot);
         engine.trace.record(
             engine.now(),
@@ -889,19 +882,14 @@ impl Agent {
     }
 
     fn begin_unit(&self, engine: &mut Engine, unit: UnitHandle, placement: Placement) {
-        let alive = Rc::new(Cell::new(true));
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.running += 1;
-            inner.active.insert(
-                unit.id().0,
-                ActiveRun {
-                    unit: unit.clone(),
-                    placement: placement.clone(),
-                    alive: alive.clone(),
-                },
-            );
-        }
+        let primary = match &placement {
+            Placement::Nodes { nodes, .. } => Some(nodes[0].0),
+            _ => None,
+        };
+        let key = self
+            .inner
+            .borrow_mut()
+            .open_attempt(unit.clone(), placement);
         unit.rec.borrow_mut().attempts += 1;
         unit.advance(engine, UnitState::StagingInput);
         // Pilot-Data dependencies not resident on this machine are pulled
@@ -935,44 +923,36 @@ impl Agent {
                 },
             );
         }
-        let primary = match &placement {
-            Placement::Nodes { nodes, .. } => Some(nodes[0].0),
-            _ => None,
-        };
         let this = self.clone();
-        let u2 = unit.clone();
-        let alive2 = alive.clone();
         self.run_staging(
             engine,
             directives,
             primary,
             unit,
             Box::new(move |eng, ok| {
-                if !alive2.get() {
-                    // Killed while staging; the recovery path owns the unit.
-                    return;
-                }
-                if u2.state().is_final() {
-                    // Canceled while staging in: drop the attempt and free
-                    // its reservation instead of launching a final unit.
-                    this.inner.borrow_mut().active.remove(&u2.id().0);
-                    this.release(eng, placement);
+                // Killed while staging: the recovery path owns the unit.
+                let Some(unit) = this.owned(key) else { return };
+                if unit.state().is_final() {
+                    // Canceled while staging in: free the reservation
+                    // instead of launching a final unit.
+                    this.end_attempt(eng, key, None);
                     return;
                 }
                 if !ok {
-                    this.fail_and_release(eng, u2, placement, "input staging failed after retries");
+                    this.end_attempt(eng, key, Some("input staging failed after retries"));
                     return;
                 }
                 // Staging is over even though the unit stays StagingInput
                 // until its slot is granted: close the stage_in span so the
                 // allocation wait is not charged to staging.
-                u2.end_open_span(eng);
-                if this.placement_lost(&placement) {
+                unit.end_open_span(eng);
+                if this.placement_lost(key) {
                     // Node died under us mid-staging; the Heartbeat Monitor
                     // will requeue this attempt.
                     return;
                 }
-                this.enqueue_spawn(eng, u2, placement, alive2);
+                this.inner.borrow_mut().spawn_queue.push_back(key);
+                this.drain_spawner(eng);
             }),
         );
     }
@@ -982,40 +962,25 @@ impl Agent {
     /// work itself runs concurrently. With many concurrent units this
     /// serialization is a first-order scaling cost of the plain pilot —
     /// one of the effects behind Fig. 6.
-    fn enqueue_spawn(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        placement: Placement,
-        alive: Rc<Cell<bool>>,
-    ) {
-        self.inner
-            .borrow_mut()
-            .spawn_queue
-            .push_back((unit, placement, alive));
-        self.drain_spawner(engine);
-    }
-
     fn drain_spawner(&self, engine: &mut Engine) {
-        let next = {
+        let (key, unit) = {
             let mut inner = self.inner.borrow_mut();
             if inner.spawner_busy {
                 return;
             }
             loop {
-                match inner.spawn_queue.pop_front() {
-                    // Attempts killed while queued are dropped unlaunched.
-                    Some((_, _, ref alive)) if !alive.get() => continue,
-                    Some(x) => {
-                        inner.spawner_busy = true;
-                        break x;
-                    }
-                    None => return,
+                let Some(key) = inner.spawn_queue.pop_front() else {
+                    return;
+                };
+                // Attempts killed while queued are dropped unlaunched.
+                if let Some(a) = key.resolve(&mut inner.attempts) {
+                    let unit = a.unit.clone();
+                    inner.spawner_busy = true;
+                    break (key, unit);
                 }
             }
         };
-        let (unit, placement, alive) = next;
-        self.launch_unit(engine, unit, placement, alive);
+        self.launch_unit(engine, key, unit);
     }
 
     /// Run staging directives sequentially. `done(engine, false)` fires if
@@ -1095,13 +1060,7 @@ impl Agent {
     }
 
     /// Task Spawner: pay exec-prep + launch overhead, then run the work.
-    fn launch_unit(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        placement: Placement,
-        alive: Rc<Cell<bool>>,
-    ) {
+    fn launch_unit(&self, engine: &mut Engine, key: AttemptKey, unit: UnitHandle) {
         let (prep, method) = {
             let inner = self.inner.borrow();
             let (m, s) = inner.cfg.exec_prep_s;
@@ -1134,70 +1093,61 @@ impl Agent {
             // this unit's work executes.
             this.inner.borrow_mut().spawner_busy = false;
             this.drain_spawner(eng);
-            if !alive.get() {
-                // Killed during launch prep; the recovery path owns it.
-                return;
-            }
+            // Killed during launch prep: the recovery path owns the unit.
+            let Some(unit) = this.owned(key) else { return };
             if unit.state().is_final() {
                 // Canceled while queued for the spawner or during prep:
                 // never execute a final unit; just free its reservation.
-                this.inner.borrow_mut().active.remove(&unit.id().0);
-                this.release(eng, placement);
+                this.end_attempt(eng, key, None);
                 return;
             }
-            match placement {
-                p @ Placement::Nodes { .. } => {
-                    if this.placement_lost(&p) {
+            // The access mode fixes the placement kind (`place`).
+            let access = this.inner.borrow().access.clone();
+            match access {
+                RuntimeAccess::Plain => {
+                    if this.placement_lost(key) {
                         // Node crashed under us; the heartbeat requeues.
                         return;
                     }
-                    this.exec_on_nodes(eng, unit, p, alive)
+                    this.exec_on_nodes(eng, key, unit)
                 }
-                Placement::Yarn { vcores, mem_mb } => {
-                    this.exec_on_yarn(eng, unit, vcores, mem_mb, alive)
-                }
-                Placement::Spark { cores } => this.exec_on_spark(eng, unit, cores, alive),
+                RuntimeAccess::Yarn { env, .. } => this.exec_on_yarn(eng, key, unit, env),
+                RuntimeAccess::Spark { cluster } => this.exec_on_spark(eng, key, unit, cluster),
             }
         });
     }
 
     // ---- plain execution ----
 
-    fn exec_on_nodes(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        placement: Placement,
-        alive: Rc<Cell<bool>>,
-    ) {
-        let nodes = match &placement {
-            Placement::Nodes { nodes, .. } => nodes.clone(),
-            _ => unreachable!("exec_on_nodes requires node placement"),
+    fn exec_on_nodes(&self, engine: &mut Engine, key: AttemptKey, unit: UnitHandle) {
+        let nodes = match key.resolve(&mut self.inner.borrow_mut().attempts) {
+            Some(Attempt {
+                placement: Placement::Nodes { nodes, .. },
+                ..
+            }) => nodes.clone(),
+            _ => unreachable!("exec_on_nodes requires a current node placement"),
         };
         unit.rec.borrow_mut().exec_nodes = nodes.iter().map(|&(n, _)| n).collect();
         unit.advance(engine, UnitState::Executing);
         let this = self.clone();
-        let u2 = unit.clone();
-        self.run_work(engine, &unit, &nodes, &alive.clone(), move |eng| {
-            if !alive.get() {
-                // Node crashed mid-run and the attempt was requeued; this
-                // stale completion must not double-finish the unit.
-                return;
-            }
-            this.complete_unit(eng, u2, placement);
+        self.run_work(engine, key, &unit, &nodes, move |eng| {
+            // A stale completion (node crashed mid-run, attempt requeued)
+            // must not double-finish the unit: `complete_unit` ignores it.
+            this.complete_unit(eng, key);
         });
     }
 
-    /// Execute a WorkSpec on agent-managed slots. `alive` is the attempt's
-    /// kill flag: a stale completion for a killed attempt must leave the
-    /// compute span abandoned (open) instead of ending it after the unit
-    /// has already been requeued and its exec span closed.
+    /// Execute a WorkSpec on agent-managed slots (or in a YARN container)
+    /// for attempt `key`. A completion that fires after the attempt was
+    /// killed or its container preempted leaves the compute span
+    /// abandoned (open) instead of ending it after the unit has already
+    /// been requeued and its exec span closed.
     fn run_work(
         &self,
         engine: &mut Engine,
+        key: AttemptKey,
         unit: &UnitHandle,
         nodes: &[(NodeId, u32)],
-        alive: &Rc<Cell<bool>>,
         done: impl FnOnce(&mut Engine) + 'static,
     ) {
         let work = unit.rec.borrow().descr.work.clone();
@@ -1234,9 +1184,9 @@ impl Agent {
         engine
             .trace
             .span_attr_u64(span, "cores", u64::from(total_cores));
-        let alive = alive.clone();
+        let this = self.clone();
         let done = move |eng: &mut Engine| {
-            if alive.get() {
+            if this.owned(key).is_some() {
                 eng.trace.span_end(eng.now(), span);
             }
             done(eng);
@@ -1308,18 +1258,7 @@ impl Agent {
 
     // ---- YARN execution (the RADICAL-Pilot YARN application, Fig. 4) ----
 
-    fn exec_on_yarn(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        vcores: u32,
-        mem_mb: u64,
-        run_alive: Rc<Cell<bool>>,
-    ) {
-        let env = match &self.inner.borrow().access {
-            RuntimeAccess::Yarn { env, .. } => env.clone(),
-            _ => unreachable!("yarn placement on non-yarn pilot"),
-        };
+    fn exec_on_yarn(&self, engine: &mut Engine, key: AttemptKey, unit: UnitHandle, env: HadoopEnv) {
         let (mr_spec, unit_cores, unit_mem_mb) = {
             let rec = unit.rec.borrow();
             let d = &rec.descr;
@@ -1333,7 +1272,6 @@ impl Agent {
             // A full MapReduce job: the MR AM drives its own containers.
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
-            let u2 = unit.clone();
             let cluster = self.inner.borrow().machine.cluster.clone();
             let hdfs = env
                 .hdfs
@@ -1347,12 +1285,10 @@ impl Agent {
                 spec,
                 unit.open_span(),
                 move |eng, stats| {
-                    if !run_alive.get() {
-                        // Pilot terminated mid-job; the UM owns the unit.
-                        return;
-                    }
-                    u2.rec.borrow_mut().mr_stats = Some(stats);
-                    this.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb });
+                    // Pilot terminated mid-job: the UM owns the unit.
+                    let Some(unit) = this.owned(key) else { return };
+                    unit.rec.borrow_mut().mr_stats = Some(stats);
+                    this.complete_unit(eng, key);
                 },
             );
             return;
@@ -1368,7 +1304,6 @@ impl Agent {
                 None
             }
         };
-        let this = self.clone();
         let req = ResourceRequest {
             resource: Resource::new(unit_cores.max(1), unit_mem_mb),
             preferred_node: None,
@@ -1381,11 +1316,11 @@ impl Agent {
                     "agent",
                     format_args!("{:?} reusing pooled AM", unit.id()),
                 );
-                this.yarn_task_container(engine, am, req, unit, vcores, mem_mb, run_alive);
+                self.yarn_task_container(engine, am, req, key, &unit);
             }
             None => {
                 let name = format!("rp-yarn-app-{:?}", unit.id());
-                let this2 = this.clone();
+                let this = self.clone();
                 // The two-stage CU startup of the Fig. 5 inset: first the
                 // AM, then (below) the task container. The unit is still
                 // StagingInput here, so the span hangs off the unit root.
@@ -1401,7 +1336,7 @@ impl Agent {
                     ResourceRequest::new(1, 1536),
                     move |eng, am| {
                         eng.trace.span_end(eng.now(), span);
-                        this2.yarn_task_container(eng, am, req, unit, vcores, mem_mb, run_alive);
+                        this.yarn_task_container(eng, am, req, key, &unit);
                     },
                 );
             }
@@ -1412,44 +1347,30 @@ impl Agent {
     /// RM preemption: a preempted attempt re-requests a fresh container
     /// and re-runs the work from the start (the "dynamic set of
     /// resources" behaviour YARN applications must implement, §III-B).
-    #[allow(clippy::too_many_arguments)]
+    /// The restart keeps the attempt record under a new generation, so
+    /// the preempted container's completion goes stale.
     fn yarn_task_container(
         &self,
         engine: &mut Engine,
         am: AmHandle,
         req: ResourceRequest,
-        unit: UnitHandle,
-        vcores: u32,
-        mem_mb: u64,
-        run_alive: Rc<Cell<bool>>,
+        key: AttemptKey,
+        unit: &UnitHandle,
     ) {
         let this = self.clone();
         let am_for_cb = am.clone();
-        let alive = Rc::new(std::cell::Cell::new(true));
-        let alive_preempt = alive.clone();
-        let run_alive_preempt = run_alive.clone();
-        let run_alive_grant = run_alive.clone();
         let retry = {
             let this = self.clone();
             let am = am.clone();
             let req = req.clone();
-            let unit = unit.clone();
             move |eng: &mut Engine, container: rp_yarn::Container| {
-                alive_preempt.set(false);
-                if !run_alive_preempt.get() {
-                    // Pilot terminated; the UM owns this unit now.
-                    return;
-                }
+                // Pilot terminated: the UM owns this unit now.
+                let Some(unit) = this.owned(key) else { return };
                 let policy = unit.retry_policy();
                 let attempts = unit.attempts();
                 if attempts >= policy.max_attempts {
                     am.finish(eng);
-                    this.fail_and_release(
-                        eng,
-                        unit.clone(),
-                        Placement::Yarn { vcores, mem_mb },
-                        "container killed: no attempts left",
-                    );
+                    this.end_attempt(eng, key, Some("container killed: no attempts left"));
                     return;
                 }
                 unit.rec.borrow_mut().attempts += 1;
@@ -1464,13 +1385,12 @@ impl Agent {
                         attempts + 1
                     ),
                 );
+                let restarted = this.inner.borrow_mut().regenerate(key);
                 let this2 = this.clone();
                 let am2 = am.clone();
                 let req2 = req.clone();
-                let u2 = unit.clone();
-                let ra2 = run_alive_preempt.clone();
                 eng.schedule_in(policy.backoff(attempts + 1), move |eng| {
-                    this2.yarn_task_container(eng, am2, req2, u2, vcores, mem_mb, ra2);
+                    this2.yarn_task_container(eng, am2, req2, restarted, &unit);
                 });
             }
         };
@@ -1486,16 +1406,13 @@ impl Agent {
         am.request_container_preemptible(engine, req, retry, move |eng, container| {
             eng.trace.span_end(eng.now(), alloc_span);
             let am = am_for_cb;
-            if !run_alive_grant.get() {
-                // Granted after the pilot died; nothing to run any more.
-                return;
-            }
+            // Granted after the pilot died: nothing to run any more.
+            let Some(unit) = this.owned(key) else { return };
             if unit.state().is_final() {
                 // Canceled while the container was allocated: free it all.
                 am.release_container(eng, container.id);
                 am.finish(eng);
-                this.inner.borrow_mut().active.remove(&unit.id().0);
-                this.release(eng, Placement::Yarn { vcores, mem_mb });
+                this.end_attempt(eng, key, None);
                 return;
             }
             unit.rec.borrow_mut().exec_nodes = vec![container.node];
@@ -1504,36 +1421,28 @@ impl Agent {
                 unit.advance(eng, UnitState::Executing);
             }
             let cores = container.resource.vcores;
-            let u2 = unit.clone();
             let this2 = this.clone();
-            let am2 = am.clone();
-            this.run_work(
-                eng,
-                &unit,
-                &[(container.node, cores)],
-                &alive.clone(),
-                move |eng| {
-                    if !alive.get() || !run_alive.get() {
-                        // This attempt was preempted mid-flight (the restart
-                        // owns the unit) or the pilot died (the UM does).
-                        return;
+            this.run_work(eng, key, &unit, &[(container.node, cores)], move |eng| {
+                if this2.owned(key).is_none() {
+                    // This container was preempted (the restart owns the
+                    // unit) or the pilot died (the UM does).
+                    return;
+                }
+                am.release_container(eng, container.id);
+                let pooled = {
+                    let mut inner = this2.inner.borrow_mut();
+                    if inner.cfg.am_reuse && !inner.stopping {
+                        inner.am_pool.push(am.clone());
+                        true
+                    } else {
+                        false
                     }
-                    am2.release_container(eng, container.id);
-                    let pooled = {
-                        let mut inner = this2.inner.borrow_mut();
-                        if inner.cfg.am_reuse && !inner.stopping {
-                            inner.am_pool.push(am2.clone());
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if !pooled {
-                        am2.finish(eng);
-                    }
-                    this2.complete_unit(eng, u2.clone(), Placement::Yarn { vcores, mem_mb });
-                },
-            );
+                };
+                if !pooled {
+                    am.finish(eng);
+                }
+                this2.complete_unit(eng, key);
+            });
         });
     }
 
@@ -1542,14 +1451,10 @@ impl Agent {
     fn exec_on_spark(
         &self,
         engine: &mut Engine,
+        key: AttemptKey,
         unit: UnitHandle,
-        gate_cores: u32,
-        run_alive: Rc<Cell<bool>>,
+        spark: SparkCluster,
     ) {
-        let spark = match &self.inner.borrow().access {
-            RuntimeAccess::Spark { cluster } => cluster.clone(),
-            _ => unreachable!("spark placement on non-spark pilot"),
-        };
         let (work, unit_cores) = {
             let rec = unit.rec.borrow();
             (rec.descr.work.clone(), rec.descr.cores.max(1))
@@ -1559,26 +1464,17 @@ impl Agent {
             let cluster = self.inner.borrow().machine.cluster.clone();
             unit.advance(engine, UnitState::Executing);
             let this = self.clone();
-            let u2 = unit.clone();
-            rp_spark::run_simulated_app(engine, &cluster, &spark, spec, move |eng, res| {
-                if !run_alive.get() {
-                    // Pilot terminated mid-job; the UM owns the unit.
-                    return;
-                }
-                match res {
-                    Ok(_stats) => {
-                        this.complete_unit(eng, u2.clone(), Placement::Spark { cores: gate_cores })
-                    }
-                    Err(e) => {
-                        this.fail_and_release(
-                            eng,
-                            u2.clone(),
-                            Placement::Spark { cores: gate_cores },
-                            &format!("spark job failed: {e}"),
-                        );
-                    }
-                }
-            });
+            // Both outcomes are no-ops if the pilot terminated mid-job.
+            rp_spark::run_simulated_app(
+                engine,
+                &cluster,
+                &spark,
+                spec,
+                move |eng, res| match res {
+                    Ok(_stats) => this.complete_unit(eng, key),
+                    Err(e) => this.end_attempt(eng, key, Some(&format!("spark job failed: {e}"))),
+                },
+            );
             return;
         }
         let (cores, core_seconds) = match work {
@@ -1595,17 +1491,14 @@ impl Agent {
         let pilot_id = self.inner.borrow().pilot;
         let spark_cb = spark.clone();
         spark.submit_app(engine, cores, move |eng, result| {
-            if !run_alive.get() {
-                // Granted (or refused) after the pilot died; nothing to run.
-                return;
-            }
+            // Granted (or refused) after the pilot died: nothing to run.
+            let Some(unit) = this.owned(key) else { return };
             match result {
                 Ok((app_id, grants)) => {
                     if unit.state().is_final() {
                         // Canceled while waiting for executor cores.
                         spark_cb.finish_app(eng, app_id);
-                        this.inner.borrow_mut().active.remove(&unit.id().0);
-                        this.release(eng, Placement::Spark { cores: gate_cores });
+                        this.end_attempt(eng, key, None);
                         return;
                     }
                     unit.rec.borrow_mut().exec_nodes = grants.iter().map(|g| g.node).collect();
@@ -1616,26 +1509,20 @@ impl Agent {
                     eng.trace.span_attr_u64(span, "pilot", pilot_id.0);
                     eng.trace.span_attr_u64(span, "cores", u64::from(cores));
                     let dur = cluster.compute_duration(core_seconds / cores.max(1) as f64);
-                    let u2 = unit.clone();
                     let spark = spark_cb;
                     eng.schedule_in(dur, move |eng| {
-                        if !run_alive.get() {
+                        if this.owned(key).is_none() {
                             // Killed mid-run: abandon the compute span open
                             // (kill semantics) and leave the unit to the UM.
                             return;
                         }
                         eng.trace.span_end(eng.now(), span);
                         spark.finish_app(eng, app_id);
-                        this.complete_unit(eng, u2.clone(), Placement::Spark { cores: gate_cores });
+                        this.complete_unit(eng, key);
                     });
                 }
                 Err(e) => {
-                    this.fail_and_release(
-                        eng,
-                        unit.clone(),
-                        Placement::Spark { cores: gate_cores },
-                        &format!("spark submission failed: {e}"),
-                    );
+                    this.end_attempt(eng, key, Some(&format!("spark submission failed: {e}")));
                 }
             }
         });
@@ -1643,35 +1530,33 @@ impl Agent {
 
     // ---- completion ----
 
-    fn complete_unit(&self, engine: &mut Engine, unit: UnitHandle, placement: Placement) {
-        // The attempt survived execution; it no longer needs crash recovery.
-        // The `finishing` entry is this path's ownership token: `terminate`
-        // drains it when the pilot dies, after which the stale staging /
-        // roundtrip continuations below must not touch the (possibly
-        // re-bound) unit.
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.active.remove(&unit.id().0);
-            inner.finishing.insert(unit.id().0, unit.clone());
-        }
+    /// Execution of attempt `key` finished: stage out, then report Done
+    /// through the store. The attempt stays on record (finishing, no
+    /// longer subject to crash recovery) until the Done round trip lands;
+    /// if the pilot dies first its continuations find the key stale and
+    /// must not touch the (possibly re-bound) unit.
+    fn complete_unit(&self, engine: &mut Engine, key: AttemptKey) {
+        let unit = match key.resolve(&mut self.inner.borrow_mut().attempts) {
+            Some(a) => {
+                a.phase = Phase::Finishing;
+                a.unit.clone()
+            }
+            None => return,
+        };
         unit.advance(engine, UnitState::StagingOutput);
         let directives = unit.rec.borrow().descr.output_staging.clone();
         let primary = unit.exec_nodes().first().copied();
         let this = self.clone();
-        let u2 = unit.clone();
         self.run_staging(
             engine,
             directives,
             primary,
             unit,
             Box::new(move |eng, ok| {
-                if !this.inner.borrow().finishing.contains_key(&u2.id().0) {
-                    return; // pilot died while staging out; UM owns the unit
-                }
+                // Pilot died while staging out: the UM owns the unit.
+                let Some(unit) = this.owned(key) else { return };
                 if !ok {
-                    this.inner.borrow_mut().finishing.remove(&u2.id().0);
-                    u2.fail(eng, "output staging failed after retries");
-                    this.release(eng, placement);
+                    this.end_attempt(eng, key, Some("output staging failed after retries"));
                     return;
                 }
                 // Output staging is done; the remaining coordination
@@ -1679,78 +1564,62 @@ impl Agent {
                 // lease's fencing epoch: if ownership moves before the
                 // update lands (partition → lease revoked), the store
                 // rejects it instead of double-completing the unit.
-                u2.end_open_span(eng);
+                unit.end_open_span(eng);
                 let (store, pilot, epoch) = {
                     let inner = this.inner.borrow();
                     (inner.store.clone(), inner.pilot, inner.lease_epoch)
                 };
                 let this2 = this.clone();
                 store.roundtrip_from(eng, pilot, epoch, move |eng| {
-                    if this2
-                        .inner
-                        .borrow_mut()
-                        .finishing
-                        .remove(&u2.id().0)
-                        .is_none()
-                    {
-                        return; // pilot died mid-roundtrip; UM owns the unit
-                    }
-                    u2.advance(eng, UnitState::Done);
+                    // Pilot died mid-roundtrip: the UM owns the unit.
+                    let Some(done) = key.take(&mut this2.inner.borrow_mut().attempts) else {
+                        return;
+                    };
+                    done.unit.advance(eng, UnitState::Done);
                     eng.metrics.incr("agent.units_completed");
                     this2.inner.borrow_mut().units_completed += 1;
-                    this2.release(eng, placement);
+                    this2.release(eng, &done.placement);
                 });
             }),
         );
     }
 
-    fn release(&self, engine: &mut Engine, placement: Placement) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.running -= 1;
-            match placement {
-                Placement::Nodes {
-                    nodes,
-                    mem_mb,
-                    cores,
-                } => {
-                    for (n, c) in nodes {
-                        let share = mem_mb * c as u64 / cores.max(1) as u64;
-                        inner.slots.release(n, c, share);
-                    }
-                }
-                Placement::Yarn { vcores, mem_mb } => {
-                    inner.yarn_inflight.vcores -= vcores;
-                    inner.yarn_inflight.mem_mb -= mem_mb;
-                }
-                Placement::Spark { cores } => {
-                    inner.spark_inflight_cores -= cores;
-                }
-            }
-        }
+    /// Free a placement's reservation and schedule into the freed room.
+    fn release(&self, engine: &mut Engine, placement: &Placement) {
+        self.inner.borrow_mut().unreserve(placement);
         self.try_schedule(engine);
     }
 
-    /// Drop an attempt's recovery record, fail the unit and free its slots.
-    fn fail_and_release(
-        &self,
-        engine: &mut Engine,
-        unit: UnitHandle,
-        placement: Placement,
-        reason: &str,
-    ) {
-        self.inner.borrow_mut().active.remove(&unit.id().0);
-        if !unit.state().is_final() {
-            unit.fail(engine, reason);
-        }
-        self.release(engine, placement);
+    /// The unit of attempt `key` while that attempt is current.
+    fn owned(&self, key: AttemptKey) -> Option<UnitHandle> {
+        key.resolve(&mut self.inner.borrow_mut().attempts)
+            .map(|a| a.unit.clone())
     }
 
-    /// Whether a plain placement references a node that has since crashed.
-    fn placement_lost(&self, placement: &Placement) -> bool {
-        let inner = self.inner.borrow();
-        match placement {
-            Placement::Nodes { nodes, .. } => nodes.iter().any(|&(n, _)| inner.slots.is_dead(n)),
+    /// End attempt `key` early: drop its record, fail its unit with
+    /// `failure` unless the unit is already final (canceled), and free the
+    /// reservation. A stale key does nothing.
+    fn end_attempt(&self, engine: &mut Engine, key: AttemptKey, failure: Option<&str>) {
+        let Some(a) = key.take(&mut self.inner.borrow_mut().attempts) else {
+            return;
+        };
+        if let Some(reason) = failure {
+            if !a.unit.state().is_final() {
+                a.unit.fail(engine, reason);
+            }
+        }
+        self.release(engine, &a.placement);
+    }
+
+    /// Whether attempt `key`'s plain placement references a node that has
+    /// since crashed.
+    fn placement_lost(&self, key: AttemptKey) -> bool {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        match key.resolve(&mut inner.attempts).map(|a| &a.placement) {
+            Some(Placement::Nodes { nodes, .. }) => {
+                nodes.iter().any(|&(n, _)| inner.slots.is_dead(n))
+            }
             _ => false,
         }
     }
@@ -1899,11 +1768,11 @@ impl Agent {
         let victims: Vec<u64> = {
             let inner = self.inner.borrow();
             inner
-                .active
+                .attempts
                 .iter()
-                .filter(|(_, run)| {
-                    matches!(run.placement, Placement::Nodes { .. })
-                        && run.unit.state() == UnitState::Executing
+                .filter(|(_, a)| {
+                    matches!(a.placement, Placement::Nodes { .. })
+                        && a.unit.state() == UnitState::Executing
                 })
                 .map(|(&id, _)| id)
                 .take(count)
@@ -1914,8 +1783,8 @@ impl Agent {
         }
     }
 
-    /// Heartbeat-driven failure detector: requeue every active run whose
-    /// placement touches a dead node.
+    /// Heartbeat-driven failure detector: requeue every running attempt
+    /// whose placement touches a dead node.
     fn detect_dead_runs(&self, engine: &mut Engine) {
         let stranded: Vec<u64> = {
             let inner = self.inner.borrow();
@@ -1923,11 +1792,12 @@ impl Agent {
                 return;
             }
             inner
-                .active
+                .attempts
                 .iter()
-                .filter(|(_, run)| match &run.placement {
+                .filter(|(_, a)| match &a.placement {
                     Placement::Nodes { nodes, .. } => {
-                        nodes.iter().any(|&(n, _)| inner.slots.is_dead(n))
+                        a.phase == Phase::Running
+                            && nodes.iter().any(|&(n, _)| inner.slots.is_dead(n))
                     }
                     _ => false,
                 })
@@ -1939,18 +1809,19 @@ impl Agent {
         }
     }
 
-    /// Kill one active attempt: invalidate its continuations, free its
-    /// slots and either requeue it (after capped exponential backoff) or
-    /// fail it terminally once the retry budget is spent.
+    /// Kill unit `unit_id`'s running attempt: drop it (its continuations
+    /// go stale), free its slots and either requeue the unit (after capped
+    /// exponential backoff) or fail it terminally once the retry budget is
+    /// spent.
     fn kill_run(&self, engine: &mut Engine, unit_id: u64, reason: &str) {
-        let run = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.active.remove(&unit_id) {
-                Some(r) => r,
-                None => return,
-            }
+        let Some(run) = self
+            .inner
+            .borrow_mut()
+            .drop_attempts(unit_id..=unit_id, |a| a.phase == Phase::Running)
+            .pop()
+        else {
+            return;
         };
-        run.alive.set(false);
         self.inner.borrow_mut().degraded = true;
         let unit = run.unit;
         engine.metrics.incr("agent.attempts_killed");
@@ -1963,7 +1834,7 @@ impl Agent {
                 unit.attempts()
             ),
         );
-        self.release(engine, run.placement);
+        self.release(engine, &run.placement);
         if unit.state().is_final() {
             return;
         }
@@ -1998,7 +1869,94 @@ impl Agent {
     }
 }
 
+impl AttemptKey {
+    /// The attempt this key names; `None` once the record was dropped or
+    /// moved to a newer generation. Continuations reach their attempt
+    /// only through here (or `take`).
+    fn resolve(self, attempts: &mut BTreeMap<u64, Attempt>) -> Option<&mut Attempt> {
+        attempts.get_mut(&self.unit).filter(|a| a.gen == self.gen)
+    }
+
+    /// Remove the attempt this key names, if it is still current.
+    fn take(self, attempts: &mut BTreeMap<u64, Attempt>) -> Option<Attempt> {
+        self.resolve(attempts)?;
+        attempts.remove(&self.unit)
+    }
+}
+
 impl AgentInner {
+    /// A key of a fresh generation for unit `unit`: a new attempt or a
+    /// YARN container restart.
+    fn next_key(&mut self, unit: u64) -> AttemptKey {
+        self.next_gen += 1;
+        AttemptKey {
+            unit,
+            gen: self.next_gen,
+        }
+    }
+
+    /// Move attempt `key` to a fresh generation (a YARN container
+    /// restart): the old container's continuations go stale and the
+    /// returned key is current.
+    fn regenerate(&mut self, key: AttemptKey) -> AttemptKey {
+        let next = self.next_key(key.unit);
+        if let Some(a) = key.resolve(&mut self.attempts) {
+            a.gen = next.gen;
+        }
+        next
+    }
+
+    /// Record a new running attempt; its continuations hold the key.
+    fn open_attempt(&mut self, unit: UnitHandle, placement: Placement) -> AttemptKey {
+        let key = self.next_key(unit.id().0);
+        let attempt = Attempt {
+            unit,
+            placement,
+            gen: key.gen,
+            phase: Phase::Running,
+        };
+        self.attempts.insert(key.unit, attempt);
+        key
+    }
+
+    /// Drop the attempts of `units` that `pick` selects, in unit-id
+    /// order. The one kill path — node crash, container kill, self-fence,
+    /// pilot loss and hang all come through here — so the keys their
+    /// continuations hold go stale together.
+    fn drop_attempts(
+        &mut self,
+        units: impl RangeBounds<u64>,
+        pick: impl Fn(&Attempt) -> bool,
+    ) -> Vec<Attempt> {
+        self.attempts
+            .extract_if(units, |_, a| pick(a))
+            .map(|(_, a)| a)
+            .collect()
+    }
+
+    /// Give back a placement's share of the slots or framework gate.
+    fn unreserve(&mut self, placement: &Placement) {
+        match placement {
+            Placement::Nodes {
+                nodes,
+                mem_mb,
+                cores,
+            } => {
+                for &(n, c) in nodes {
+                    let share = mem_mb * c as u64 / (*cores).max(1) as u64;
+                    self.slots.release(n, c, share);
+                }
+            }
+            Placement::Yarn { vcores, mem_mb } => {
+                self.yarn_inflight.vcores -= vcores;
+                self.yarn_inflight.mem_mb -= mem_mb;
+            }
+            Placement::Spark { cores } => {
+                self.spark_inflight_cores -= cores;
+            }
+        }
+    }
+
     /// Expected runtime of a unit's work on this machine, where the model
     /// admits a prediction. `None` ⇒ unknown, and the unit is always
     /// admitted (draining must not starve unpredictable work).

@@ -5,7 +5,9 @@
 //! shows up as a monotone makespan penalty.
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, TraceEvent};
+use hadoop_hpc::sim::{
+    Attr, Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, Span, TraceEvent,
+};
 
 /// A plain 4-node pilot running `n` one-core sleep units of `sleep_s`,
 /// with `plan` installed. Returns the unit handles, the pilot and the
@@ -285,5 +287,84 @@ fn fault_matrix_always_terminates() {
                 );
             }
         }
+    }
+}
+
+/// A Mode I pilot killed mid-run abandons its attempts' `unit.compute`
+/// spans, like every other kill path (DESIGN §8). YARN shutdown does not
+/// preempt running containers, so their work still completes after the
+/// kill; that completion must not end the span of an attempt the dead
+/// pilot no longer owns.
+#[test]
+fn killed_mode_i_pilot_leaves_compute_spans_open() {
+    let mut e = Engine::with_trace(5);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let yarn = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400))
+                .with_access(AccessMode::YarnModeI { with_hdfs: false }),
+        )
+        .unwrap();
+    let plain = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 3, SimDuration::from_secs(14_400)),
+        )
+        .unwrap();
+    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+    um.add_pilot(&yarn);
+    um.add_pilot(&plain);
+    um.enable_failover(&mut e);
+    let units = um.submit_units(
+        &mut e,
+        (0..4)
+            .map(|i| {
+                ComputeUnitDescription::new(
+                    format!("y{i}"),
+                    1,
+                    WorkSpec::Sleep(SimDuration::from_secs(300)),
+                )
+            })
+            .collect(),
+    );
+    let on_yarn = |e: &Engine| -> Vec<Span> {
+        e.trace
+            .iter_spans()
+            .filter(|s| {
+                e.trace.span_name(s) == "unit.compute"
+                    && e.trace.attr(s, "pilot") == Some(Attr::U64(yarn.id().0))
+            })
+            .cloned()
+            .collect()
+    };
+    // Kill the YARN pilot as soon as one of its units computes.
+    while on_yarn(&e).is_empty() {
+        assert!(e.step(), "the YARN pilot never ran a unit");
+    }
+    let killed_at = e.now();
+    yarn.kill(&mut e);
+    while units.iter().any(|u| !u.state().is_final()) {
+        assert!(e.step(), "simulation stalled with live units");
+    }
+    e.run();
+    for u in &units {
+        assert_eq!(
+            u.state(),
+            UnitState::Done,
+            "{:?}: {:?}",
+            u.id(),
+            u.failure()
+        );
+    }
+    assert!(um.rebinds() > 0, "the killed pilot's units must re-bind");
+    for s in on_yarn(&e) {
+        assert!(
+            s.end.is_none_or(|end| end <= killed_at),
+            "compute span {:?} of a killed attempt ended at {:?}, after the kill at {killed_at:?}",
+            s.id,
+            s.end
+        );
     }
 }

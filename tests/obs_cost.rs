@@ -67,7 +67,7 @@ const UNITS: usize = 2_000;
 
 /// Exact allocations of one untraced `UNITS`-unit bag, from engine
 /// creation to the end of the run (descriptions are built beforehand).
-const BAG_ALLOCS: u64 = 41_722;
+const BAG_ALLOCS: u64 = 37_721;
 
 /// Run an untraced bag of one-core sleep units on one plain pilot to
 /// completion; returns the allocations made from engine creation on.
