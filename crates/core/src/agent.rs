@@ -169,6 +169,14 @@ impl NodeSlots {
         true
     }
 
+    /// Whether nothing is reserved: every live node has all its cores
+    /// free and no committed memory.
+    fn idle(&self, cores_per_node: u32) -> bool {
+        let live = (self.ids.len() - self.dead_count) as u64;
+        self.free_total == live * u64::from(cores_per_node)
+            && self.committed_mem.iter().all(|&m| m == 0)
+    }
+
     /// Committed memory on a node (0 for crashed or untracked nodes).
     fn committed(&self, n: NodeId) -> u64 {
         self.idx(n).map_or(0, |i| self.committed_mem[i])
@@ -602,6 +610,17 @@ impl Agent {
 
     pub fn running_units(&self) -> usize {
         self.inner.borrow().attempts.len()
+    }
+
+    /// Whether the agent has no attempts yet still holds slot or
+    /// framework-gate reservations: capacity nothing will ever release.
+    pub fn holds_orphan_reservations(&self) -> bool {
+        let inner = self.inner.borrow();
+        let cores_per_node = inner.machine.cluster.spec().cores_per_node;
+        inner.attempts.is_empty()
+            && (!inner.slots.idle(cores_per_node)
+                || inner.yarn_inflight != Resource::new(0, 0)
+                || inner.spark_inflight_cores > 0)
     }
 
     /// Tear the agent down: cancel queued units, stop Mode I frameworks
@@ -1810,11 +1829,11 @@ impl Agent {
     }
 
     /// Kill unit `unit_id`'s running attempt: drop it (its continuations
-    /// go stale), free its slots and either requeue the unit (after capped
-    /// exponential backoff) or fail it terminally once the retry budget is
-    /// spent.
+    /// go stale, its slots come back), schedule into the freed room and
+    /// either requeue the unit (after capped exponential backoff) or fail
+    /// it terminally once the retry budget is spent.
     fn kill_run(&self, engine: &mut Engine, unit_id: u64, reason: &str) {
-        let Some(run) = self
+        let Some(Attempt { unit, .. }) = self
             .inner
             .borrow_mut()
             .drop_attempts(unit_id..=unit_id, |a| a.phase == Phase::Running)
@@ -1823,7 +1842,6 @@ impl Agent {
             return;
         };
         self.inner.borrow_mut().degraded = true;
-        let unit = run.unit;
         engine.metrics.incr("agent.attempts_killed");
         engine.trace.record(
             engine.now(),
@@ -1834,7 +1852,7 @@ impl Agent {
                 unit.attempts()
             ),
         );
-        self.release(engine, &run.placement);
+        self.try_schedule(engine);
         if unit.state().is_final() {
             return;
         }
@@ -1920,18 +1938,26 @@ impl AgentInner {
     }
 
     /// Drop the attempts of `units` that `pick` selects, in unit-id
-    /// order. The one kill path — node crash, container kill, self-fence,
-    /// pilot loss and hang all come through here — so the keys their
-    /// continuations hold go stale together.
+    /// order, and give back their reservations. The one kill path — node
+    /// crash, container kill, self-fence, pilot loss and hang all come
+    /// through here — so the keys their continuations hold go stale
+    /// together and no capacity stays reserved for a dropped attempt. It
+    /// does not schedule into the freed room: callers that may (only
+    /// `kill_run`) do so themselves.
     fn drop_attempts(
         &mut self,
         units: impl RangeBounds<u64>,
         pick: impl Fn(&Attempt) -> bool,
     ) -> Vec<Attempt> {
-        self.attempts
+        let dropped: Vec<Attempt> = self
+            .attempts
             .extract_if(units, |_, a| pick(a))
             .map(|(_, a)| a)
-            .collect()
+            .collect();
+        for a in &dropped {
+            self.unreserve(&a.placement);
+        }
+        dropped
     }
 
     /// Give back a placement's share of the slots or framework gate.

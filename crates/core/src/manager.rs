@@ -1666,6 +1666,9 @@ mod tests {
         while units.iter().any(|u| !u.state().is_final()) {
             assert!(e.step(), "stalled with live units");
         }
+        // The fence dropped p0's attempts; their cores came back with
+        // them, so the healed pilot is not left short of capacity.
+        assert!(!p0.agent().unwrap().holds_orphan_reservations());
         // Drain past the heal so held zombie messages get delivered (and
         // fenced) rather than left in the queue.
         while e.step() {}

@@ -18,7 +18,10 @@
 //!     metrics);
 //! (e) the zero-fault configuration — injector installed with an empty
 //!     plan, loss probabilities at zero — is bit-identical to a run
-//!     without the chaos machinery at all.
+//!     without the chaos machinery at all;
+//! (f) no orphaned capacity — once every unit is final, an Active
+//!     pilot's agent with no attempts holds no slot or framework-gate
+//!     reservation (a dropped attempt gives its capacity back).
 //!
 //! `CHAOS_SEEDS` overrides the number of scenarios (default 1024;
 //! `ci.sh` quick mode uses 8).
@@ -51,6 +54,9 @@ struct Outcome {
     /// resolved before the trace (and its intern table) is dropped.
     open_spans: Vec<(&'static str, String)>,
     metrics: MetricsSnapshot,
+    /// Active pilots whose agent, once every unit is final, holds
+    /// reservations without attempts (see `orphan_reservations`).
+    orphaned: Vec<u64>,
     rebinds: u64,
     done: usize,
     units_completed: u64,
@@ -58,6 +64,18 @@ struct Outcome {
     msgs_duplicated: u64,
     dup_applies_ignored: u64,
     faults_injected: usize,
+}
+
+/// Active pilots whose agent has no attempts but still holds slot or
+/// framework-gate reservations. Once every unit is final this must be
+/// empty: a dropped attempt gives its capacity back with it.
+fn orphan_reservations(pilots: &[PilotHandle]) -> Vec<u64> {
+    pilots
+        .iter()
+        .filter(|p| p.state() == PilotState::Active)
+        .filter(|p| p.agent().is_some_and(|a| a.holds_orphan_reservations()))
+        .map(|p| p.id().0)
+        .collect()
 }
 
 fn counter(metrics: &MetricsSnapshot, key: &str) -> u64 {
@@ -135,9 +153,11 @@ fn chaos_run(seed: u64, mode: Mode) -> Outcome {
             "seed {seed}: units still live past the walltime backstop"
         );
     }
+    let orphaned = orphan_reservations(&pilots);
     e.run();
     let store = session.store();
     Outcome {
+        orphaned,
         states: units.iter().map(|u| u.state()).collect(),
         done: units
             .iter()
@@ -191,6 +211,12 @@ fn check_invariants(seed: u64, out: &Outcome) {
             "seed {seed}: unexpected open span {category:?}/{name} at shutdown"
         );
     }
+    // (f) no capacity reserved without an attempt.
+    assert!(
+        out.orphaned.is_empty(),
+        "seed {seed}: pilots {:?} hold reservations without attempts",
+        out.orphaned
+    );
 }
 
 #[test]
@@ -267,6 +293,7 @@ struct PartitionOutcome {
     spans: Vec<Span>,
     open_spans: Vec<(&'static str, String)>,
     metrics: MetricsSnapshot,
+    orphaned: Vec<u64>,
     /// Store effect log: every applied (non-deduped, non-fenced) message.
     effects: Vec<(SimTime, u64, &'static str)>,
     done: usize,
@@ -356,6 +383,7 @@ fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
             "seed {seed}: units still live past the walltime backstop"
         );
     }
+    let orphaned = orphan_reservations(&pilots);
     // Drain past every heal: held zombie messages must be delivered (and
     // fenced), not left pending in the queue.
     e.run();
@@ -390,6 +418,7 @@ fn partition_run(seed: u64, lossy: bool) -> PartitionOutcome {
         }
     }
     PartitionOutcome {
+        orphaned,
         states: units.iter().map(|u| u.state()).collect(),
         done: units
             .iter()
@@ -447,6 +476,13 @@ fn check_partition_invariants(seed: u64, out: &PartitionOutcome) {
             "seed {seed}: unexpected open span {category:?}/{name} at shutdown"
         );
     }
+    // (f) a fence that drops attempts gives back their capacity: a
+    // healed pilot must not keep it reserved for ever.
+    assert!(
+        out.orphaned.is_empty(),
+        "seed {seed}: pilots {:?} hold reservations without attempts",
+        out.orphaned
+    );
 }
 
 #[test]
