@@ -1874,9 +1874,20 @@ impl Agent {
         engine.schedule_in(backoff, move |eng| {
             {
                 let mut inner = this.inner.borrow_mut();
-                if inner.stopping {
+                // The unit waited out its backoff in no queue and with no
+                // attempt. If it finished or was re-bound meanwhile it is
+                // not ours any more. If the pilot died or fenced, a
+                // Unit-Manager re-binds it like any other unit still bound
+                // here; only without one does `stop` cancel it.
+                if unit.state().is_final() || unit.pilot() != Some(inner.pilot) {
+                    return;
+                }
+                if inner.stopping || inner.fenced {
+                    let cancel = inner.stopping && !inner.store.has_client();
                     drop(inner);
-                    unit.advance(eng, UnitState::Canceled);
+                    if cancel {
+                        unit.advance(eng, UnitState::Canceled);
+                    }
                     return;
                 }
                 inner.queue.push_back(unit);

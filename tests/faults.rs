@@ -368,3 +368,71 @@ fn killed_mode_i_pilot_leaves_compute_spans_open() {
         );
     }
 }
+
+/// A unit waiting out its requeue backoff when its pilot dies is still
+/// bound to that pilot, so the Unit-Manager re-binds it. The dead agent's
+/// backoff timer must then leave it alone instead of canceling it.
+#[test]
+fn requeue_backoff_survives_pilot_loss() {
+    let mut e = Engine::with_trace(3);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilots: Vec<PilotHandle> = (0..2)
+        .map(|_| {
+            pm.submit(
+                &mut e,
+                PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(14_400)),
+            )
+            .unwrap()
+        })
+        .collect();
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at: SimTime::from_secs_f64(100.0),
+            kind: FaultKind::NodeCrash { node: 0 },
+        }],
+    };
+    install_faults(&mut e, &plan, &pilots[0]);
+    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+    for p in &pilots {
+        um.add_pilot(p);
+    }
+    um.enable_failover(&mut e);
+    let units = um.submit_units(
+        &mut e,
+        (0..4)
+            .map(|i| {
+                ComputeUnitDescription::new(
+                    format!("b{i}"),
+                    1,
+                    WorkSpec::Sleep(SimDuration::from_secs(300)),
+                )
+            })
+            .collect(),
+    );
+    // Kill the first pilot the moment its Heartbeat Monitor requeues the
+    // crashed node's units: they are in backoff, in no agent queue.
+    let requeued = |e: &Engine| {
+        e.trace
+            .events()
+            .iter()
+            .any(|ev| ev.message.to_string().contains("lost (node crashed)"))
+    };
+    while !requeued(&e) {
+        assert!(e.step(), "the node crash was never detected");
+    }
+    pilots[0].kill(&mut e);
+    while units.iter().any(|u| !u.state().is_final()) {
+        assert!(e.step(), "simulation stalled with live units");
+    }
+    e.run();
+    for u in &units {
+        assert_eq!(
+            u.state(),
+            UnitState::Done,
+            "{:?}: {:?}",
+            u.id(),
+            u.failure()
+        );
+    }
+}
