@@ -11,6 +11,7 @@
 //! store.
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::RangeBounds;
@@ -687,9 +688,10 @@ impl Agent {
             )
         };
         self.inner.borrow().store.deregister_agent(pilot);
-        // Return every unfinished unit the agent owns: queued, then
-        // waiting for the spawner, then the other running attempts, then
-        // finishing ones (each group by unit id). Killed attempts
+        // Return every unfinished unit the agent owns, in an order
+        // re-binding observes: the queue and then the spawn queue, each in
+        // its own order, then the other running attempts and then the
+        // finishing ones, each by unit id. Killed attempts
         // deliberately abandon their compute spans (same convention as
         // node-crash recovery); the unit-level span closes when the
         // Unit-Manager re-binds or fails the unit.
@@ -1205,7 +1207,8 @@ impl Agent {
             .span_attr_u64(span, "cores", u64::from(total_cores));
         let this = self.clone();
         let done = move |eng: &mut Engine| {
-            if this.owned(key).is_some() {
+            // (Untraced runs have no span to end and skip the lookup.)
+            if span != SpanId::NONE && this.owned(key).is_some() {
                 eng.trace.span_end(eng.now(), span);
             }
             done(eng);
@@ -1635,6 +1638,9 @@ impl Agent {
     fn placement_lost(&self, key: AttemptKey) -> bool {
         let mut guard = self.inner.borrow_mut();
         let inner = &mut *guard;
+        if !inner.slots.any_dead() {
+            return false;
+        }
         match key.resolve(&mut inner.attempts).map(|a| &a.placement) {
             Some(Placement::Nodes { nodes, .. }) => {
                 nodes.iter().any(|&(n, _)| inner.slots.is_dead(n))
@@ -1908,8 +1914,10 @@ impl AttemptKey {
 
     /// Remove the attempt this key names, if it is still current.
     fn take(self, attempts: &mut BTreeMap<u64, Attempt>) -> Option<Attempt> {
-        self.resolve(attempts)?;
-        attempts.remove(&self.unit)
+        match attempts.entry(self.unit) {
+            Entry::Occupied(e) if e.get().gen == self.gen => Some(e.remove()),
+            _ => None,
+        }
     }
 }
 
