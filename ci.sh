@@ -156,6 +156,23 @@ print("--- mode1_pipeline: %d units, %.0f units/s, %.0f allocs/unit"
          d["metrics"]["allocs_per_unit"]["value"]))
 '
 
+echo "==> benchmark smoke (fault_grid, 1 s: correct, no failed session)"
+# 512 short two-pilot sessions over 256 seeds (chaos and split-brain
+# configs); a session that panics, wedges, strands a unit or breaks
+# exactly-once counts as failed.
+CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload fault_grid --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+assert d["correct"] is True, d
+assert d["failed"] == 0, d
+print("--- fault_grid: %d sessions, %.0f units/s, %.0f allocs/unit"
+      % (d["attempted"], d["metrics"]["units_per_s"]["value"],
+         d["metrics"]["allocs_per_unit"]["value"]))
+'
+
 echo "==> benchmark smoke (bag_traced per-layer, 1 s: intern table bounded by vocabulary)"
 # Traced bag with the per-layer report: typed span attributes keep ids,
 # counts and unit names out of the intern table, so its size is set by

@@ -23,8 +23,9 @@
 //!     pilot's agent with no attempts holds no slot or framework-gate
 //!     reservation (a dropped attempt gives its capacity back).
 //!
-//! `CHAOS_SEEDS` overrides the number of scenarios (default 1024;
-//! `ci.sh` quick mode uses 8).
+//! `CHAOS_SEEDS` overrides the number of scenarios (default 1024 for the
+//! soak and 64 for the partition grid; `ci.sh` quick mode uses 8, which
+//! the partition grid raises to its floor of 16).
 
 use hadoop_hpc::pilot::*;
 use hadoop_hpc::sim::{
@@ -181,11 +182,13 @@ fn chaos_run(seed: u64, mode: Mode) -> Outcome {
     }
 }
 
+/// The `CHAOS_SEEDS` override, if set.
+fn seeds_env() -> Option<u64> {
+    std::env::var("CHAOS_SEEDS").ok()?.parse().ok()
+}
+
 fn seed_count() -> u64 {
-    std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
+    seeds_env().unwrap_or(1024)
 }
 
 fn check_invariants(seed: u64, out: &Outcome) {
@@ -487,8 +490,9 @@ fn check_partition_invariants(seed: u64, out: &PartitionOutcome) {
 
 #[test]
 fn partition_heal_grid() {
-    // ≥16-point grid (seed × lossy), env-overridable like the main soak.
-    let seeds = seed_count().clamp(16, 64);
+    // ≥16-point grid (seed × lossy): 64 seeds by default, `CHAOS_SEEDS`
+    // sets the count like for the main soak (never below 16).
+    let seeds = seeds_env().map_or(64, |n| n.max(16));
     let mut total_rebinds = 0u64;
     let mut total_windows = 0u64;
     let mut total_fenced = 0u64;
