@@ -156,10 +156,12 @@ print("--- mode1_pipeline: %d units, %.0f units/s, %.0f allocs/unit"
          d["metrics"]["allocs_per_unit"]["value"]))
 '
 
-echo "==> benchmark smoke (fault_grid, 1 s: correct, no failed session)"
+echo "==> benchmark smoke (fault_grid, 1 s: correct, no failed session, allocs/unit <= 140)"
 # 512 short two-pilot sessions over 256 seeds (chaos and split-brain
 # configs); a session that panics, wedges, strands a unit or breaks
-# exactly-once counts as failed.
+# exactly-once counts as failed. Heartbeats, lease renewals, heartbeat
+# deliveries and polls re-arm engine timers; a recurring event that boxes
+# a closure per tick again pushes allocations per unit past 140.
 CARGO_TARGET_DIR=.bench_build cargo run --release --quiet --offline \
     --manifest-path perfbench/Cargo.toml -- \
     --workload fault_grid --seed 1 --seconds 1 --trace 0 \
@@ -168,6 +170,8 @@ import json, sys
 d = json.loads(sys.stdin.read())
 assert d["correct"] is True, d
 assert d["failed"] == 0, d
+allocs = d["metrics"]["allocs_per_unit"]["value"]
+assert allocs <= 140, "fault_grid: %.1f allocations per unit (limit 140)" % allocs
 print("--- fault_grid: %d sessions, %.0f units/s, %.0f allocs/unit"
       % (d["attempted"], d["metrics"]["units_per_s"]["value"],
          d["metrics"]["allocs_per_unit"]["value"]))

@@ -10,14 +10,16 @@
 //!     --baseline DIR --candidate DIR [--host-factor F] [--scenario NAME]...
 //! ```
 //!
-//! Exits non-zero on any drift, listing every moved field. To accept an
-//! intentional change, re-baseline: `bench_suite --out-dir .` at the repo
-//! root and commit the updated artifacts (see EXPERIMENTS.md).
+//! Exits 1 on any drift, listing every moved field, and 2 on usage errors
+//! or an artifact that is missing, unreadable or not valid JSON. To accept
+//! an intentional change, re-baseline: `bench_suite --out-dir .` at the
+//! repo root and commit the updated artifacts (see EXPERIMENTS.md).
 
 use std::path::{Path, PathBuf};
 
 use rp_bench::diff::{diff_documents, DEFAULT_EPS};
 use rp_bench::harness::{artifact_file_name, compare_artifacts, SCENARIO_NAMES};
+use rp_sim::json;
 
 fn dir_arg(args: &[String], flag: &str) -> Option<PathBuf> {
     args.iter()
@@ -54,17 +56,19 @@ fn main() {
 
     let read = |dir: &Path, name: &str| -> Result<String, String> {
         let path = dir.join(artifact_file_name(name));
-        std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+        Ok(text)
     };
 
     let mut drifted: Vec<String> = Vec::new();
-    let mut failed = false;
+    let mut unreadable = false;
     for name in &scenarios {
         match (read(&baseline_dir, name), read(&candidate_dir, name)) {
             (Ok(b), Ok(c)) => match compare_artifacts(&b, &c, host_factor) {
                 Ok(()) => println!("  {name:<18} OK"),
                 Err(errs) => {
-                    failed = true;
                     drifted.push(name.clone());
                     println!("  {name:<18} DRIFT ({} difference(s))", errs.len());
                     for e in errs {
@@ -83,7 +87,7 @@ fn main() {
                 }
             },
             (b, c) => {
-                failed = true;
+                unreadable = true;
                 for r in [b, c] {
                     if let Err(e) = r {
                         println!("  {name:<18} ERROR: {e}");
@@ -92,17 +96,17 @@ fn main() {
             }
         }
     }
-    if failed {
-        if drifted.is_empty() {
-            println!("bench_compare: FAILED — artifacts missing or unreadable (see above)");
-        } else {
-            println!(
-                "bench_compare: FAILED — virtual drift in [{}]; the attribution above names \
-                 the moved fields (expected vs got) and phases. If the change is intentional, \
-                 re-baseline per EXPERIMENTS.md",
-                drifted.join(", ")
-            );
-        }
+    if unreadable {
+        println!("bench_compare: FAILED — artifacts missing, unreadable or malformed (see above)");
+        std::process::exit(2);
+    }
+    if !drifted.is_empty() {
+        println!(
+            "bench_compare: FAILED — virtual drift in [{}]; the attribution above names \
+             the moved fields (expected vs got) and phases. If the change is intentional, \
+             re-baseline per EXPERIMENTS.md",
+            drifted.join(", ")
+        );
         std::process::exit(1);
     }
     println!("bench_compare: all scenarios match the baselines");

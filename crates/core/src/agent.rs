@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use rp_hpc::{Allocation, IoKind, NodeId, StorageTarget};
 use rp_saga::filetransfer::{transfer, Endpoint};
-use rp_sim::{Engine, FaultKind, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, FaultKind, SimDuration, SimTime, SpanId, TimerId};
 use rp_spark::SparkCluster;
 use rp_yarn::{
     bootstrap_mode_i_in_span, connect_mode_ii, AmHandle, HadoopEnv, Resource, ResourceRequest,
@@ -262,6 +262,8 @@ struct AgentInner {
     units_completed: u64,
     heartbeats: u64,
     heartbeat_armed: bool,
+    /// The heartbeat tick's engine timer, registered on the first arm.
+    heartbeat_timer: Option<TimerId>,
     /// Fencing epoch of the currently/last held ownership lease (0 =
     /// never acquired). Stamped on every completion/return message.
     lease_epoch: u64,
@@ -349,6 +351,7 @@ impl Agent {
                         units_completed: 0,
                         heartbeats: 0,
                         heartbeat_armed: false,
+                        heartbeat_timer: None,
                         lease_epoch: 0,
                         lease_deadline: SimTime::ZERO,
                         fenced: false,
@@ -450,8 +453,9 @@ impl Agent {
     }
 
     /// Heartbeats the agent pushed to the coordination store so far (the
-    /// Heartbeat Monitor of Fig. 3; armed only while work is in flight so
-    /// idle sessions drain the event queue).
+    /// Heartbeat Monitor of Fig. 3). The beat runs while work is in flight
+    /// or the agent is fenced; with leases enabled it runs for the agent's
+    /// whole lifetime, idle included.
     pub fn heartbeats(&self) -> u64 {
         self.inner.borrow().heartbeats
     }
@@ -460,9 +464,10 @@ impl Agent {
     /// A fenced agent keeps beating too: the tick is where it re-acquires
     /// its lease at a fresh epoch once the partition heals. With leases
     /// enabled the beat never stops while the agent lives — renewal is
-    /// proof of life even when idle.
+    /// proof of life even when idle. The tick is one engine timer per
+    /// agent, registered on the first arm, so a beat allocates nothing.
     fn ensure_heartbeat(&self, engine: &mut Engine) {
-        {
+        let timer = {
             let mut inner = self.inner.borrow_mut();
             let busy = !inner.attempts.is_empty()
                 || !inner.queue.is_empty()
@@ -472,46 +477,53 @@ impl Agent {
                 return;
             }
             inner.heartbeat_armed = true;
+            *inner.heartbeat_timer.get_or_insert_with(|| {
+                let this = self.clone();
+                engine.timer(move |eng| this.heartbeat_tick(eng))
+            })
+        };
+        engine.arm_in(SimDuration::from_secs(10), timer);
+    }
+
+    /// One heartbeat: lease maintenance, the liveness beat, dead-node
+    /// detection, then re-arm while still busy.
+    fn heartbeat_tick(&self, eng: &mut Engine) {
+        let (pilot, still_busy) = {
+            let mut inner = self.inner.borrow_mut();
+            inner.heartbeat_armed = false;
+            if inner.stopping {
+                return;
+            }
+            inner.heartbeats += 1;
+            (
+                inner.pilot,
+                !inner.attempts.is_empty()
+                    || !inner.queue.is_empty()
+                    || inner.fenced
+                    || inner.store.leases_enabled(),
+            )
+        };
+        eng.metrics.incr("agent.heartbeats");
+        eng.trace
+            .record(eng.now(), "agent", format_args!("{pilot:?} heartbeat"));
+        // Lease maintenance piggybacks on the heartbeat: renew under
+        // the held epoch, self-fence the moment the local deadline
+        // passes unrenewed, re-acquire at a fresh epoch after a
+        // fence. May leave the agent fenced — then the liveness beat
+        // is skipped (a fenced agent must look dead to the monitor).
+        let fenced = self.lease_tick(eng, pilot);
+        if !fenced {
+            // Liveness signal for cross-pilot failover: the
+            // Unit-Manager's gap monitor reads this (droppable).
+            let store = self.inner.borrow().store.clone();
+            store.report_heartbeat(eng, pilot);
         }
-        let this = self.clone();
-        engine.schedule_in(SimDuration::from_secs(10), move |eng| {
-            let (pilot, still_busy) = {
-                let mut inner = this.inner.borrow_mut();
-                inner.heartbeat_armed = false;
-                if inner.stopping {
-                    return;
-                }
-                inner.heartbeats += 1;
-                (
-                    inner.pilot,
-                    !inner.attempts.is_empty()
-                        || !inner.queue.is_empty()
-                        || inner.fenced
-                        || inner.store.leases_enabled(),
-                )
-            };
-            eng.metrics.incr("agent.heartbeats");
-            eng.trace
-                .record(eng.now(), "agent", format_args!("{pilot:?} heartbeat"));
-            // Lease maintenance piggybacks on the heartbeat: renew under
-            // the held epoch, self-fence the moment the local deadline
-            // passes unrenewed, re-acquire at a fresh epoch after a
-            // fence. May leave the agent fenced — then the liveness beat
-            // is skipped (a fenced agent must look dead to the monitor).
-            let fenced = this.lease_tick(eng, pilot);
-            if !fenced {
-                // Liveness signal for cross-pilot failover: the
-                // Unit-Manager's gap monitor reads this (droppable).
-                let store = this.inner.borrow().store.clone();
-                store.report_heartbeat(eng, pilot);
-            }
-            // The Heartbeat Monitor doubles as the failure detector: any
-            // run stranded on a dead node is requeued (or failed) now.
-            this.detect_dead_runs(eng);
-            if still_busy {
-                this.ensure_heartbeat(eng);
-            }
-        });
+        // The Heartbeat Monitor doubles as the failure detector: any
+        // run stranded on a dead node is requeued (or failed) now.
+        self.detect_dead_runs(eng);
+        if still_busy {
+            self.ensure_heartbeat(eng);
+        }
     }
 
     /// Per-heartbeat lease maintenance. Returns whether the agent is

@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use rp_sim::{Engine, SimDuration, SimRng, SimTime};
+use rp_sim::{Engine, SimDuration, SimRng, SimTime, TimerId};
 
 use crate::unit::{PilotId, UnitHandle};
 
@@ -98,6 +98,16 @@ type BatchFn = Rc<dyn Fn(&mut Engine, Vec<UnitHandle>)>;
 struct PilotQueue {
     pending: Vec<UnitHandle>,
     consumer: Option<AgentRegistration>,
+    /// The poll's engine timer, registered on the pilot's first poll.
+    poll_timer: Option<TimerId>,
+}
+
+/// Delayed heartbeat delivery for one pilot: beats sent but not yet
+/// recorded, and the engine timer that delivers them. Kept once created,
+/// so a jittered beat allocates nothing.
+struct HbDelivery {
+    in_flight: u32,
+    timer: TimerId,
 }
 
 struct AgentRegistration {
@@ -186,7 +196,7 @@ struct StoreInner {
     /// In-flight (sent, not yet recorded) delayed heartbeats per pilot.
     /// The gap monitor consults this so a delayed-but-delivered beat is
     /// never mistaken for silence.
-    hb_in_flight: BTreeMap<PilotId, u32>,
+    hb_delivery: BTreeMap<PilotId, HbDelivery>,
     /// Active partition reachability windows per pilot.
     partitions: BTreeMap<PilotId, PartitionWindow>,
     /// Lease duration; `Some` iff lease-based ownership is enabled.
@@ -293,7 +303,7 @@ impl CoordinationStore {
                 msgs_dropped: 0,
                 msgs_duplicated: 0,
                 dup_applies_ignored: 0,
-                hb_in_flight: BTreeMap::new(),
+                hb_delivery: BTreeMap::new(),
                 partitions: BTreeMap::new(),
                 lease_duration: None,
                 leases: BTreeMap::new(),
@@ -587,6 +597,7 @@ impl CoordinationStore {
                     .or_insert_with(|| PilotQueue {
                         pending: Vec::new(),
                         consumer: None,
+                        poll_timer: None,
                     })
                     .pending
                     .extend(units);
@@ -608,6 +619,7 @@ impl CoordinationStore {
             let q = inner.queues.entry(pilot).or_insert_with(|| PilotQueue {
                 pending: Vec::new(),
                 consumer: None,
+                poll_timer: None,
             });
             assert!(q.consumer.is_none(), "agent registered twice for {pilot:?}");
             q.consumer = Some(AgentRegistration {
@@ -731,8 +743,9 @@ impl CoordinationStore {
     /// window swallows them outright, and delivery jitter delays them —
     /// exactly the signals a heartbeat-gap detector must tolerate. With a
     /// lossless profile the record is synchronous and schedules nothing;
-    /// a jittered beat is delivered by an event and counted as in-flight
-    /// until it lands (see [`CoordinationStore::heartbeat_in_flight`]).
+    /// a jittered beat is delivered by the pilot's delivery timer and
+    /// counted as in-flight until it lands (see
+    /// [`CoordinationStore::heartbeat_in_flight`]).
     pub fn report_heartbeat(&self, engine: &mut Engine, pilot: PilotId) {
         let now = engine.now();
         let (dropped, delay) = {
@@ -763,24 +776,27 @@ impl CoordinationStore {
             self.inner.borrow_mut().record_heartbeat(pilot, now);
             return;
         }
-        *self
-            .inner
-            .borrow_mut()
-            .hb_in_flight
-            .entry(pilot)
-            .or_insert(0) += 1;
-        let this = self.clone();
-        engine.schedule_in(delay, move |eng| {
-            let mut inner = this.inner.borrow_mut();
-            if let Some(c) = inner.hb_in_flight.get_mut(&pilot) {
-                *c -= 1;
-                if *c == 0 {
-                    inner.hb_in_flight.remove(&pilot);
+        let timer = {
+            let mut inner = self.inner.borrow_mut();
+            let d = inner.hb_delivery.entry(pilot).or_insert_with(|| {
+                let this = self.clone();
+                let timer = engine.timer(move |eng| {
+                    let mut inner = this.inner.borrow_mut();
+                    if let Some(d) = inner.hb_delivery.get_mut(&pilot) {
+                        d.in_flight -= 1;
+                    }
+                    let at = eng.now();
+                    inner.record_heartbeat(pilot, at);
+                });
+                HbDelivery {
+                    in_flight: 0,
+                    timer,
                 }
-            }
-            let at = eng.now();
-            inner.record_heartbeat(pilot, at);
-        });
+            });
+            d.in_flight += 1;
+            d.timer
+        };
+        engine.arm_in(delay, timer);
     }
 
     /// Last heartbeat seen from `pilot`'s agent, if any.
@@ -792,7 +808,11 @@ impl CoordinationStore {
     /// but not yet recorded). The gap monitor defers suspicion while one
     /// is pending — a delayed-but-delivered beat is not silence.
     pub fn heartbeat_in_flight(&self, pilot: PilotId) -> bool {
-        self.inner.borrow().hb_in_flight.contains_key(&pilot)
+        self.inner
+            .borrow()
+            .hb_delivery
+            .get(&pilot)
+            .is_some_and(|d| d.in_flight > 0)
     }
 
     // ---- partitions ----
@@ -1008,9 +1028,10 @@ impl CoordinationStore {
     }
 
     /// Arm the next poll for `pilot` if documents are pending, a consumer
-    /// exists, and no poll is already armed.
+    /// exists, and no poll is already armed. The poll is one engine timer
+    /// per pilot, registered on its first arm.
     fn arm_poll(&self, engine: &mut Engine, pilot: PilotId) {
-        let next_at = {
+        let (next_at, timer) = {
             let mut inner = self.inner.borrow_mut();
             let poll_us = inner.config.poll_ms * 1_000;
             let q = match inner.queues.get_mut(&pilot) {
@@ -1030,39 +1051,47 @@ impl CoordinationStore {
             reg.poll_armed = true;
             let elapsed = engine.now().since(reg.start).0;
             let k = elapsed / poll_us + 1;
-            reg.start + SimDuration(k * poll_us)
+            let next_at = reg.start + SimDuration(k * poll_us);
+            let timer = *q.poll_timer.get_or_insert_with(|| {
+                let this = self.clone();
+                engine.timer(move |eng| this.poll(eng, pilot))
+            });
+            (next_at, timer)
         };
-        let this = self.clone();
-        engine.schedule_at(next_at, move |eng| {
-            let (batch, cb) = {
-                let mut inner = this.inner.borrow_mut();
-                inner.polls += 1;
-                eng.metrics.incr("coordination.polls");
-                // A symmetric partition cuts the store→agent direction:
-                // the poll fires but delivers nothing; re-arming below
-                // retries every poll interval until the window heals.
-                let blocked = inner.blocked_in(pilot, eng.now());
-                let q = match inner.queues.get_mut(&pilot) {
-                    Some(q) => q,
-                    None => return,
-                };
-                let reg = match q.consumer.as_mut() {
-                    Some(r) => r,
-                    None => return, // agent went away while poll in flight
-                };
-                reg.poll_armed = false;
-                if blocked {
-                    (Vec::new(), reg.on_batch.clone())
-                } else {
-                    (std::mem::take(&mut q.pending), reg.on_batch.clone())
-                }
+        engine.arm_at(next_at, timer);
+    }
+
+    /// One poll of `pilot`'s queue: hand the pending documents to the
+    /// agent, then re-arm if more arrived meanwhile.
+    fn poll(&self, eng: &mut Engine, pilot: PilotId) {
+        let (batch, cb) = {
+            let mut inner = self.inner.borrow_mut();
+            inner.polls += 1;
+            eng.metrics.incr("coordination.polls");
+            // A symmetric partition cuts the store→agent direction:
+            // the poll fires but delivers nothing; re-arming below
+            // retries every poll interval until the window heals.
+            let blocked = inner.blocked_in(pilot, eng.now());
+            let q = match inner.queues.get_mut(&pilot) {
+                Some(q) => q,
+                None => return,
             };
-            if !batch.is_empty() {
-                cb(eng, batch);
+            let reg = match q.consumer.as_mut() {
+                Some(r) => r,
+                None => return, // agent went away while poll in flight
+            };
+            reg.poll_armed = false;
+            if blocked {
+                (Vec::new(), reg.on_batch.clone())
+            } else {
+                (std::mem::take(&mut q.pending), reg.on_batch.clone())
             }
-            // More documents may have arrived while the batch processed.
-            this.arm_poll(eng, pilot);
-        });
+        };
+        if !batch.is_empty() {
+            cb(eng, batch);
+        }
+        // More documents may have arrived while the batch processed.
+        self.arm_poll(eng, pilot);
     }
 }
 

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rp_hpc::JobState;
-use rp_sim::{Engine, SimDuration, SimTime, SpanId};
+use rp_sim::{Engine, SimDuration, SimTime, SpanId, TimerId};
 
 use crate::agent::Agent;
 use crate::description::{AccessMode, ComputeUnitDescription, PilotDescription};
@@ -363,6 +363,10 @@ struct UmInner {
     /// any unit is re-bound).
     lease_grace: Option<SimDuration>,
     monitor_armed: bool,
+    /// The gap/lease monitor's engine timer, registered on the first arm,
+    /// and the silence threshold its pending tick checks.
+    monitor_timer: Option<TimerId>,
+    monitor_gap: SimDuration,
     /// When units were last pushed to each pilot (grace period for the
     /// heartbeat-gap monitor: work may not have started heartbeating yet).
     bound_at: std::collections::BTreeMap<PilotId, SimTime>,
@@ -432,6 +436,8 @@ impl UnitManager {
                 heartbeat_gap: None,
                 lease_grace: None,
                 monitor_armed: false,
+                monitor_timer: None,
+                monitor_gap: SimDuration::ZERO,
                 bound_at: std::collections::BTreeMap::new(),
                 backfill: None,
                 rebinds: 0,
@@ -824,7 +830,8 @@ impl UnitManager {
 
     /// Arm the next heartbeat-gap check if the detector is configured and
     /// some unit is still in flight. Quiet on healthy systems: the tick
-    /// emits no trace or metrics unless it declares a pilot dead.
+    /// emits no trace or metrics unless it declares a pilot dead. The
+    /// check is one engine timer, registered on the first arm.
     fn ensure_monitor(&self, engine: &mut Engine) {
         let lease_cadence = match (
             self.inner.borrow().lease_grace,
@@ -833,7 +840,7 @@ impl UnitManager {
             (Some(g), Some(d)) => Some(d + g),
             _ => None,
         };
-        let (gap, tick) = {
+        let (tick, timer) = {
             let mut inner = self.inner.borrow_mut();
             if !inner.failover || inner.monitor_armed {
                 return;
@@ -845,17 +852,23 @@ impl UnitManager {
                 return;
             }
             inner.monitor_armed = true;
+            inner.monitor_gap = gap;
             let tick = SimDuration(gap.0 / 2).max(SimDuration::from_secs(1));
-            (gap, tick)
+            let timer = *inner.monitor_timer.get_or_insert_with(|| {
+                let this = self.clone();
+                engine.timer(move |eng| this.monitor_tick(eng))
+            });
+            (tick, timer)
         };
-        let this = self.clone();
-        engine.schedule_in(tick, move |eng| {
-            this.inner.borrow_mut().monitor_armed = false;
-            this.monitor_tick(eng, gap);
-        });
+        engine.arm_in(tick, timer);
     }
 
-    fn monitor_tick(&self, engine: &mut Engine, gap: SimDuration) {
+    fn monitor_tick(&self, engine: &mut Engine) {
+        let gap = {
+            let mut inner = self.inner.borrow_mut();
+            inner.monitor_armed = false;
+            inner.monitor_gap
+        };
         let now = engine.now();
         let store = self.session.store();
         let lease_grace = if store.leases_enabled() {

@@ -22,6 +22,18 @@
 //! * the free list is a `Vec` (LIFO), so slot assignment is a pure
 //!   function of the event sequence — replays are bit-identical.
 //!
+//! ## Reusable timers
+//!
+//! Recurring event sources (heartbeats, lease renewals, store polls,
+//! failure monitors) register one `FnMut` callback with [`Engine::timer`]
+//! and re-arm it with [`Engine::arm_in`] / [`Engine::arm_at`]. An arm is a
+//! heap entry whose `slot` has `TIMER_TAG` set and names the timer
+//! instead of a slab slot, so it needs no box and no slab slot. Its `seq`
+//! comes from the same counter as `schedule_*`, so one-shot events and
+//! timer arms interleave in one `(time, seq)` order. Arms cannot be
+//! cancelled; callers keep their own armed flags. A callback is dropped
+//! with the engine.
+//!
 //! The loop is single-threaded by design: the costly layers (agent,
 //! coordination store, tracing) all run inside event closures on the main
 //! thread. Multi-core use belongs across independent runs (seed grids,
@@ -69,7 +81,16 @@ pub struct EventId {
     seq: u64,
 }
 
+/// Identifier of a reusable timer registered with [`Engine::timer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimerId(u32);
+
 type EventFn = Box<dyn FnOnce(&mut Engine)>;
+type TimerFn = Box<dyn FnMut(&mut Engine)>;
+
+/// Set in `Entry::slot` when the entry is a timer arm; the low bits are
+/// then the timer's index, not a slab slot.
+const TIMER_TAG: u32 = 1 << 31;
 
 /// Slab cell: the generation (`seq`) of the event occupying it and its
 /// closure. `payload == None` on an occupied slot means cancelled.
@@ -78,7 +99,8 @@ struct Slot {
     payload: Option<EventFn>,
 }
 
-/// Heap entry: ordering key plus the slab slot holding the payload.
+/// Heap entry: ordering key plus the slab slot holding the payload (or,
+/// with `TIMER_TAG` set, the timer to fire).
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Entry {
     time: SimTime,
@@ -108,6 +130,8 @@ pub struct Engine {
     queue: BinaryHeap<Entry>,
     slots: Vec<Slot>,
     free: Vec<u32>,
+    /// Timer callbacks by index; `None` only while the callback runs.
+    timers: Vec<Option<TimerFn>>,
     executed: u64,
     /// Seeded random source shared by all stochastic models in the run.
     pub rng: SimRng,
@@ -137,6 +161,7 @@ impl Engine {
             queue: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            timers: Vec::new(),
             executed: 0,
             rng: SimRng::new(seed),
             trace: Trace::disabled(),
@@ -157,8 +182,8 @@ impl Engine {
 
     /// Set whether engines subsequently created on *this thread* start
     /// with the flight recorder enabled (`None` restores the
-    /// `RP_TELEMETRY` environment default). The differential tier proves
-    /// this can never change what a run computes.
+    /// `RP_TELEMETRY` environment default). `tests/telemetry.rs` holds
+    /// runs bit-identical with the recorder on and off.
     pub fn set_default_telemetry(on: Option<bool>) {
         DEFAULT_TELEMETRY.with(|t| t.set(on));
     }
@@ -189,8 +214,9 @@ impl Engine {
     }
 
     /// Total slab slots ever allocated. With free-list reuse this is the
-    /// peak number of simultaneously pending events, not the number of
-    /// events scheduled — the scale gate asserts it stays bounded.
+    /// peak number of simultaneously pending one-shot events, not the
+    /// number of events scheduled — the scale gate asserts it stays
+    /// bounded. Timer arms take no slot.
     pub fn slab_len(&self) -> usize {
         self.slots.len()
     }
@@ -214,7 +240,10 @@ impl Engine {
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("event slab overflow");
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot < TIMER_TAG)
+                    .expect("event slab overflow");
                 self.slots.push(slot_val);
                 slot
             }
@@ -236,6 +265,40 @@ impl Engine {
     /// for this instant — FIFO within a timestamp).
     pub fn schedule_now(&mut self, f: impl FnOnce(&mut Engine) + 'static) -> EventId {
         self.schedule_at(self.now, f)
+    }
+
+    /// Register a reusable timer. The callback runs once per arm; it may
+    /// re-arm its own timer. Registering allocates; arming does not.
+    pub fn timer(&mut self, f: impl FnMut(&mut Engine) + 'static) -> TimerId {
+        assert!(
+            self.timers.len() < TIMER_TAG as usize,
+            "timer table overflow"
+        );
+        let id = TimerId(self.timers.len() as u32);
+        self.timers.push(Some(Box::new(f)));
+        id
+    }
+
+    /// Arm `timer` to fire at an absolute time (must not be in the past).
+    /// Each arm fires once: two pending arms of one timer both fire.
+    pub fn arm_at(&mut self, time: SimTime, timer: TimerId) {
+        assert!(
+            time >= self.now,
+            "cannot arm a timer in the past: {time} < {}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Entry {
+            time,
+            seq,
+            slot: timer.0 | TIMER_TAG,
+        });
+    }
+
+    /// Arm `timer` to fire after a relative delay.
+    pub fn arm_in(&mut self, delay: SimDuration, timer: TimerId) {
+        self.arm_at(self.now + delay, timer);
     }
 
     /// Cancel a previously scheduled event. Cancelling an event that already
@@ -263,20 +326,41 @@ impl Engine {
     /// Execute the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         while let Some(entry) = self.queue.pop() {
+            if entry.slot & TIMER_TAG != 0 {
+                self.fire_timer(entry);
+                return true;
+            }
             let Some(f) = self.release(entry) else {
                 continue; // cancelled
             };
-            debug_assert!(entry.time >= self.now, "event queue went backwards");
-            self.now = entry.time;
-            self.executed += 1;
-            if self.telemetry.is_enabled() {
-                let live = self.trace.live_spans();
-                self.telemetry.on_apply(self.slots.len(), live);
-            }
+            self.advance(entry);
             f(self);
             return true;
         }
         false
+    }
+
+    /// Move the clock to `entry` and count it as executed.
+    fn advance(&mut self, entry: Entry) {
+        debug_assert!(entry.time >= self.now, "event queue went backwards");
+        self.now = entry.time;
+        self.executed += 1;
+        if self.telemetry.is_enabled() {
+            let live = self.trace.live_spans();
+            self.telemetry.on_apply(self.slots.len(), live);
+        }
+    }
+
+    /// Run the timer a tagged `entry` names. The callback is taken out of
+    /// its cell while it runs, so it can reach the engine mutably.
+    fn fire_timer(&mut self, entry: Entry) {
+        self.advance(entry);
+        let idx = (entry.slot & !TIMER_TAG) as usize;
+        let Some(mut f) = self.timers[idx].take() else {
+            unreachable!("timer {idx} fired inside its own callback");
+        };
+        f(self);
+        self.timers[idx] = Some(f);
     }
 
     /// Run until no events remain; returns the final virtual time.
@@ -290,7 +374,10 @@ impl Engine {
         loop {
             let next = loop {
                 match self.queue.peek().copied() {
-                    Some(e) if self.slots[e.slot as usize].payload.is_none() => {
+                    Some(e)
+                        if e.slot & TIMER_TAG == 0
+                            && self.slots[e.slot as usize].payload.is_none() =>
+                    {
                         // Cancelled: drop it and free the slot.
                         self.queue.pop();
                         self.release(e);
@@ -427,5 +514,115 @@ mod tests {
         e.schedule_now(move |_| l.borrow_mut().push(1));
         e.run();
         assert_eq!(*log.borrow(), vec![0, 1, 2]);
+    }
+
+    /// A timer that appends `tag` to `log` each time it fires.
+    fn logging_timer(e: &mut Engine, log: &Rc<RefCell<Vec<char>>>, tag: char) -> TimerId {
+        let log = log.clone();
+        e.timer(move |_| log.borrow_mut().push(tag))
+    }
+
+    #[test]
+    fn timer_arms_interleave_with_one_shot_events_in_time_order() {
+        let mut e = Engine::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t = logging_timer(&mut e, &log, 'T');
+        for (s, tag) in [(4u64, 'd'), (1, 'a'), (3, 'c')] {
+            let log = log.clone();
+            e.schedule_at(SimTime::from_secs_f64(s as f64), move |_| {
+                log.borrow_mut().push(tag)
+            });
+        }
+        e.arm_at(SimTime::from_secs_f64(2.0), t);
+        e.arm_in(SimDuration::from_secs(5), t);
+        e.run();
+        assert_eq!(*log.borrow(), vec!['a', 'T', 'c', 'd', 'T']);
+        assert_eq!(e.events_executed(), 5);
+        assert_eq!(e.slab_len(), 3, "a timer arm takes no slab slot");
+    }
+
+    #[test]
+    fn same_instant_ties_break_by_arm_and_schedule_order() {
+        let mut e = Engine::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t = logging_timer(&mut e, &log, 'T');
+        let u = logging_timer(&mut e, &log, 'U');
+        let at = SimTime(10);
+        let l = log.clone();
+        e.schedule_at(at, move |_| l.borrow_mut().push('a'));
+        e.arm_at(at, u);
+        let l = log.clone();
+        e.schedule_at(at, move |_| l.borrow_mut().push('b'));
+        e.arm_at(at, t);
+        e.run();
+        assert_eq!(*log.borrow(), vec!['a', 'U', 'b', 'T']);
+    }
+
+    #[test]
+    fn timer_callback_can_rearm_itself() {
+        let mut e = Engine::new(1);
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let cell: Rc<Cell<Option<TimerId>>> = Rc::new(Cell::new(None));
+        let (f, c) = (fired.clone(), cell.clone());
+        let t = e.timer(move |eng| {
+            f.borrow_mut().push(eng.now());
+            if f.borrow().len() < 3 {
+                eng.arm_in(SimDuration::from_secs(10), c.get().expect("registered"));
+            }
+        });
+        cell.set(Some(t));
+        e.arm_in(SimDuration::from_secs(10), t);
+        let end = e.run();
+        let secs: Vec<f64> = fired.borrow().iter().map(|t| t.as_secs_f64()).collect();
+        assert_eq!(secs, vec![10.0, 20.0, 30.0]);
+        assert_eq!(end, SimTime::from_secs_f64(30.0));
+        assert_eq!(e.pending(), 0);
+    }
+
+    #[test]
+    fn run_until_stops_at_a_timer_past_the_boundary_and_skips_none() {
+        let mut e = Engine::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t = logging_timer(&mut e, &log, 'T');
+        // A cancelled one-shot ahead of the timer is dropped, not run.
+        let l = log.clone();
+        let id = e.schedule_at(SimTime::from_secs_f64(1.0), move |_| {
+            l.borrow_mut().push('x')
+        });
+        e.cancel(id);
+        e.arm_at(SimTime::from_secs_f64(2.0), t);
+        e.arm_at(SimTime::from_secs_f64(5.0), t);
+        e.arm_at(SimTime::from_secs_f64(7.0), t);
+        e.run_until(SimTime::from_secs_f64(5.0));
+        assert_eq!(*log.borrow(), vec!['T', 'T'], "arms at 2 s and 5 s ran");
+        assert_eq!(e.now(), SimTime::from_secs_f64(5.0));
+        assert_eq!(e.pending(), 1, "the 7 s arm is still pending");
+        e.run_until(SimTime::from_secs_f64(6.0));
+        assert_eq!(log.borrow().len(), 2);
+        e.run();
+        assert_eq!(*log.borrow(), vec!['T', 'T', 'T']);
+    }
+
+    #[test]
+    fn two_pending_arms_of_one_timer_both_fire() {
+        let mut e = Engine::new(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let t = logging_timer(&mut e, &log, 'T');
+        e.arm_at(SimTime(3), t);
+        e.arm_at(SimTime(3), t);
+        assert_eq!(e.pending(), 2);
+        e.run();
+        assert_eq!(*log.borrow(), vec!['T', 'T']);
+        assert_eq!(e.events_executed(), 2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn arming_into_past_panics() {
+        let mut e = Engine::new(1);
+        let t = e.timer(|_| {});
+        e.schedule_at(SimTime::from_secs_f64(5.0), |_| {});
+        e.run();
+        e.arm_at(SimTime::from_secs_f64(1.0), t);
     }
 }

@@ -5,6 +5,12 @@
 //! Numbers are parsed as `f64`; object fields preserve document order and
 //! duplicate keys are kept (lookup returns the first). Surrogate pairs in
 //! `\u` escapes are not supported — none of our emitters produce them.
+//! Arrays and objects nested deeper than [`MAX_DEPTH`] are an error, so
+//! hostile input cannot overflow the parser's stack.
+
+/// Deepest array/object nesting [`parse`] accepts. Every artifact this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +70,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -77,6 +84,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -106,8 +115,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -292,6 +315,34 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("[nul]").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let deep_arrays = "[".repeat(200_000);
+        let err = parse(&deep_arrays).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_objects = "{\"a\":".repeat(200_000);
+        let err = parse(&deep_objects).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Closed documents too: the limit is on depth, not on balance.
+        let closed = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&closed).is_err());
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &parse(&at_limit).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Value::Array(Vec::new()));
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        // Siblings do not add up: depth returns as each container closes.
+        let wide = format!("[{}]", vec!["[[1]]"; 1_000].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The substrate every other crate in this workspace builds on:
 //!
 //! * [`engine::Engine`] — an event loop over virtual time. Events are
-//!   `FnOnce(&mut Engine)` closures; ties are broken by schedule order, so
-//!   a run is bit-reproducible given the same seed.
+//!   `FnOnce(&mut Engine)` closures or re-armed reusable timers; ties are
+//!   broken by schedule order, so a run is bit-reproducible given the same
+//!   seed.
 //! * [`time::SimTime`] / [`time::SimDuration`] — integer-microsecond
 //!   virtual time.
 //! * [`link::FairLink`] — a max–min fair-shared bandwidth resource used to
@@ -48,7 +49,7 @@ pub mod tokens;
 pub mod trace;
 
 pub use critpath::{critical_path, critical_path_run, CritPhaseRow, CriticalPath, PathSegment};
-pub use engine::{Engine, EventId};
+pub use engine::{Engine, EventId, TimerId};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use intern::{Symbol, SymbolTable};
 pub use link::{FairLink, FlowId};

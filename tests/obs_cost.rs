@@ -1,4 +1,5 @@
-//! Cost gate for observability that is switched off.
+//! Cost gate for observability that is switched off, and for recurring
+//! events.
 //!
 //! A std-only counting global allocator (per thread, so the test harness's
 //! parallel threads do not disturb each other) pins the exact number of
@@ -7,6 +8,11 @@
 //! trace or metrics registry format, clone or box anything again moves it
 //! and fails here. A second test proves the recording API itself defers
 //! formatting: a disabled trace never evaluates a message's `Display`.
+//!
+//! A split-brain lease session is pinned the same way, and run to two
+//! walltimes: its idle heartbeats, lease renewals and jittered heartbeat
+//! deliveries re-arm engine timers, so the longer run must allocate
+//! exactly as much as the shorter one.
 //!
 //! After an intended change to the allocation profile, re-pin the
 //! constants from the failure message (it prints the measured values).
@@ -17,7 +23,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hadoop_hpc::pilot::*;
-use hadoop_hpc::sim::{Engine, SimDuration, SimRng, SimTime, SpanId, Trace};
+use hadoop_hpc::sim::{
+    Engine, FaultEvent, FaultKind, FaultPlan, SimDuration, SimRng, SimTime, SpanId, Trace,
+};
 
 struct PerThreadCounting;
 
@@ -67,7 +75,7 @@ const UNITS: usize = 2_000;
 
 /// Exact allocations of one untraced `UNITS`-unit bag, from engine
 /// creation to the end of the run (descriptions are built beforehand).
-const BAG_ALLOCS: u64 = 37_721;
+const BAG_ALLOCS: u64 = 37_184;
 
 /// Run an untraced bag of one-core sleep units on one plain pilot to
 /// completion; returns the allocations made from engine creation on.
@@ -120,6 +128,104 @@ fn untraced_bag_allocations_per_unit_are_pinned() {
          pinned {BAG_ALLOCS}"
     );
     assert!(per_unit <= 25.0, "{per_unit:.2} allocations per unit");
+}
+
+/// Exact allocations of one split-brain lease session (see
+/// [`lease_session`]), from engine creation to the end of the run.
+const LEASE_SESSION_ALLOCS: u64 = 1_270;
+
+/// Units in the lease session.
+const LEASE_UNITS: usize = 12;
+
+/// A split-brain lease session: two plain pilots with `walltime_h` hours
+/// of walltime, 60 s leases with 30 s grace, a lossy store with delivery
+/// jitter and one symmetric partition window that outlasts lease expiry
+/// plus grace. Runs until the pilots' walltime ends; returns the
+/// allocations made from engine creation on. Descriptions and the fault
+/// plan are built beforehand.
+fn lease_session(walltime_h: u64) -> u64 {
+    let descs: Vec<ComputeUnitDescription> = (0..LEASE_UNITS)
+        .map(|i| {
+            let sleep = SimDuration::from_secs(15 + (i as u64 % 4) * 10);
+            ComputeUnitDescription::new(format!("s{i}"), 1, WorkSpec::Sleep(sleep))
+        })
+        .collect();
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at: SimTime::from_secs_f64(50.0),
+            kind: FaultKind::Partition {
+                pilot: 0,
+                duration: SimDuration::from_secs(300),
+                symmetric: true,
+            },
+        }],
+    };
+    let before = allocs();
+    let mut e = Engine::new(5);
+    let mut cfg = SessionConfig::test_profile();
+    cfg.coordination.loss = LossProfile {
+        drop_p: 0.10,
+        dup_p: 0.05,
+        delay_jitter_ms: 25.0,
+        seed: 5,
+    };
+    let session = Session::new(cfg);
+    let pm = PilotManager::new(&session);
+    let walltime = SimDuration::from_secs(walltime_h * 3_600);
+    let pilots: Vec<PilotHandle> = (0..2)
+        .map(|_| {
+            pm.submit(&mut e, PilotDescription::new("xsede.stampede", 3, walltime))
+                .expect("the plain pilot submits")
+        })
+        .collect();
+    let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+    for p in &pilots {
+        um.add_pilot(p);
+    }
+    um.enable_leases(
+        &mut e,
+        SimDuration::from_secs(60),
+        SimDuration::from_secs(30),
+    );
+    let _injector = install_faults_multi(&mut e, &plan, &pilots);
+    let handles = um.submit_units(&mut e, descs);
+    e.run();
+    let used = allocs() - before;
+    assert!(
+        handles.iter().all(|u| u.state() == UnitState::Done),
+        "every unit of the lease session completes"
+    );
+    assert_eq!(
+        session.store().partition_windows(),
+        1,
+        "the partition opened"
+    );
+    assert!(
+        um.rebinds() >= 1,
+        "the partitioned pilot's units were re-bound"
+    );
+    assert!(
+        e.now() >= SimTime::from_secs_f64((walltime_h * 3_600) as f64),
+        "the session ran to its walltime"
+    );
+    used
+}
+
+#[test]
+fn idle_lease_heartbeats_allocate_nothing() {
+    lease_session(1);
+    let four = lease_session(4);
+    let eight = lease_session(8);
+    assert_eq!(
+        four,
+        eight,
+        "4 h of idle lease heartbeats allocated {} times",
+        eight as i64 - four as i64
+    );
+    assert_eq!(
+        four, LEASE_SESSION_ALLOCS,
+        "split-brain lease session: {four} allocations, pinned {LEASE_SESSION_ALLOCS}"
+    );
 }
 
 /// A message whose formatting is a test failure.
