@@ -25,9 +25,10 @@ python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["version"] == 1, d["version"]
-# The fencing and waiver-hygiene rules must actually be wired into the
-# pass — a refactor that drops one would otherwise fail silently forever.
-assert {"effect-origin", "stale-waiver"} <= set(d["rules"]), d["rules"]
+# The fencing, waiver-hygiene and host-clock rules must actually be wired
+# into the pass — a refactor that drops one would otherwise fail silently
+# forever.
+assert {"effect-origin", "stale-waiver", "wallclock"} <= set(d["rules"]), d["rules"]
 # The rules that policed the retired parallel engine stay retired.
 assert not {"prep-purity", "lookahead-coverage"} & set(d["rules"]), d["rules"]
 assert {"rule", "file", "line", "message", "waived", "fatal"} <= set(
@@ -97,9 +98,6 @@ else
     echo "     — run 'bench_suite --out-dir .' without --quick for real host stats)"
     cp "$BENCH_OUT"/BENCH_*.json .
 fi
-
-echo "==> telemetry differential tier (recorder on == recorder off)"
-cargo test --release -q --test telemetry
 
 echo "==> trace_diff attribution smoke (self-diff clean, perturbation attributed)"
 # A baseline diffed against itself must be clean (exit 0)...

@@ -188,7 +188,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `Instant::now()`, `SystemTime::now()` and `UNIX_EPOCH` in library\n\
              code make simulated results depend on host speed, violating\n\
              determinism. Allowed in crates/bench (host-side measurement is its\n\
-             job), examples, tests and benches. Waive an intentional use with\n\
+             job), crates/analyze (the lint pass times its own rules),\n\
+             examples, tests and benches; no single file is exempt. Waive an\n\
+             intentional use with\n\
              `// rp-lint: allow(wallclock): <justification>`."
         }
         "par-hazard" => {
@@ -226,7 +228,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "effect-origin" => {
             "effect-origin: coordination-store effects must thread a real\n\
-             fencing origin. Fencing (DESIGN.md §13) rejects writes stamped with\n\
+             fencing origin. Fencing (DESIGN.md §12) rejects writes stamped with\n\
              a stale (PilotId, epoch) — but only when senders thread their\n\
              origin. In crates/core library code outside the store itself the\n\
              rule flags: (1) origin-less emission — calling roundtrip(...) or\n\

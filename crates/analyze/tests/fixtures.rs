@@ -6,6 +6,7 @@
 use rp_analyze::report::Report;
 use rp_analyze::scan::{FileKind, SourceFile};
 use rp_analyze::{baseline, hazards, locks, spans, states};
+use std::path::Path;
 
 fn lib_file(rel: &str, src: &str) -> SourceFile {
     SourceFile::from_source(rel, FileKind::Lib, src)
@@ -282,23 +283,22 @@ fn wallclock_allows_bench_crate_and_string_mentions() {
 }
 
 #[test]
-fn wallclock_allows_only_the_telemetry_module_in_sim_core() {
+fn wallclock_is_fatal_in_every_sim_core_module() {
+    // sim-core has no wall-clock exemption, not even under the retired
+    // flight recorder's file name.
     let clocky = "fn t() { let t0 = Instant::now(); }\n";
-    let mut report = Report::default();
-    hazards::check_wallclock(
-        &[lib_file("crates/sim-core/src/telemetry.rs", clocky)],
-        &mut report,
-    );
-    assert_eq!(report.fatal_count(), 0, "{}", report.render_text());
-
-    // Any other sim-core module reading the host clock is still flagged:
-    // the flight recorder is the single allowed wall-clock site.
-    let mut report = Report::default();
-    hazards::check_wallclock(
-        &[lib_file("crates/sim-core/src/engine.rs", clocky)],
-        &mut report,
-    );
-    assert_eq!(report.fatal_count(), 1, "{}", report.render_text());
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../sim-core/src");
+    let mut names = vec!["telemetry.rs".to_string()];
+    for entry in std::fs::read_dir(src).expect("sim-core sources") {
+        names.push(entry.expect("dir entry").file_name().into_string().unwrap());
+    }
+    assert!(names.len() > 10, "{names:?}");
+    for name in names.iter().filter(|n| n.ends_with(".rs")) {
+        let rel = format!("crates/sim-core/src/{name}");
+        let mut report = Report::default();
+        hazards::check_wallclock(&[lib_file(&rel, clocky)], &mut report);
+        assert_eq!(report.fatal_count(), 1, "{rel}: {}", report.render_text());
+    }
 }
 
 #[test]

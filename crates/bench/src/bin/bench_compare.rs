@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Exits 1 on any drift, listing every moved field, and 2 on usage errors
-//! or an artifact that is missing, unreadable or not valid JSON. To accept
+//! or an artifact that is missing, unreadable or not valid JSON. A usage
+//! error (an unknown flag, a flag without its value, a `--host-factor`
+//! that is not a finite number > 0, an unknown scenario) compares nothing. To accept
 //! an intentional change, re-baseline: `bench_suite --out-dir .` at the
 //! repo root and commit the updated artifacts (see EXPERIMENTS.md).
 
@@ -21,38 +23,75 @@ use rp_bench::diff::{diff_documents, DEFAULT_EPS};
 use rp_bench::harness::{artifact_file_name, compare_artifacts, SCENARIO_NAMES};
 use rp_sim::json;
 
-fn dir_arg(args: &[String], flag: &str) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+const USAGE: &str = "usage: bench_compare --baseline DIR --candidate DIR [--host-factor F] \
+                     [--scenario NAME]...";
+
+struct Args {
+    baseline_dir: PathBuf,
+    candidate_dir: PathBuf,
+    host_factor: f64,
+    scenarios: Vec<String>,
+}
+
+/// Parse the command line; any malformed or unknown argument is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut baseline_dir = None;
+    let mut candidate_dir = None;
+    let mut host_factor = 4.0;
+    let mut scenarios = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--baseline" => {
+                let dir = it.next().ok_or("--baseline needs a directory")?;
+                baseline_dir = Some(PathBuf::from(dir));
+            }
+            "--candidate" => {
+                let dir = it.next().ok_or("--candidate needs a directory")?;
+                candidate_dir = Some(PathBuf::from(dir));
+            }
+            "--host-factor" => {
+                let v = it.next().ok_or("--host-factor needs a number")?;
+                host_factor = v
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|f| f.is_finite() && *f > 0.0)
+                    .ok_or(format!("--host-factor {v:?} is not a finite number > 0"))?;
+            }
+            "--scenario" => {
+                let name = it.next().ok_or("--scenario needs a name")?;
+                if !SCENARIO_NAMES.contains(&name.as_str()) {
+                    return Err(format!(
+                        "unknown scenario {name:?} (expected one of {SCENARIO_NAMES:?})"
+                    ));
+                }
+                scenarios.push(name.clone());
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if scenarios.is_empty() {
+        scenarios = SCENARIO_NAMES.iter().map(|s| s.to_string()).collect();
+    }
+    Ok(Args {
+        baseline_dir: baseline_dir.ok_or("--baseline is required")?,
+        candidate_dir: candidate_dir.ok_or("--candidate is required")?,
+        host_factor,
+        scenarios,
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_dir = dir_arg(&args, "--baseline").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--host-factor F]");
+    let Args {
+        baseline_dir,
+        candidate_dir,
+        host_factor,
+        scenarios,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("bench_compare: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let candidate_dir = dir_arg(&args, "--candidate").unwrap_or_else(|| {
-        eprintln!("usage: bench_compare --baseline DIR --candidate DIR [--host-factor F]");
-        std::process::exit(2);
-    });
-    let host_factor: f64 = args
-        .iter()
-        .position(|a| a == "--host-factor")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
-    let mut scenarios: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    if scenarios.is_empty() {
-        scenarios = SCENARIO_NAMES.iter().map(|s| s.to_string()).collect();
-    }
 
     let read = |dir: &Path, name: &str| -> Result<String, String> {
         let path = dir.join(artifact_file_name(name));

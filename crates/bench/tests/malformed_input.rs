@@ -1,6 +1,8 @@
 //! Hostile input to the artifact readers: `trace_diff` and
 //! `bench_compare` must reject a deeply nested document with exit status 2
-//! (malformed input), not die on a stack overflow.
+//! (malformed input), not die on a stack overflow, and `bench_compare`
+//! must reject a malformed command line with exit status 2 before it
+//! compares anything.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -68,13 +70,53 @@ fn bench_compare_exits_2_on_deep_nesting() {
 #[test]
 fn bench_compare_still_accepts_a_matching_artifact() {
     let baseline = good_artifact().parent().expect("repo root").to_path_buf();
-    let code = exit_code(
-        Command::new(env!("CARGO_BIN_EXE_bench_compare"))
-            .arg("--baseline")
-            .arg(&baseline)
-            .arg("--candidate")
-            .arg(&baseline)
-            .args(["--scenario", "fault_matrix"]),
-    );
-    assert_eq!(code, Some(0));
+    for extra in [&[][..], &["--host-factor", "1.5"][..]] {
+        let code = exit_code(
+            Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+                .arg("--baseline")
+                .arg(&baseline)
+                .arg("--candidate")
+                .arg(&baseline)
+                .args(["--scenario", "fault_matrix"])
+                .args(extra),
+        );
+        assert_eq!(code, Some(0), "bench_compare {extra:?}");
+    }
+}
+
+#[test]
+fn bench_compare_exits_2_on_bad_flags_without_comparing() {
+    let root = good_artifact().parent().expect("repo root").to_path_buf();
+    let root = root.to_str().expect("utf-8 path");
+    let dirs = ["--baseline", root, "--candidate", root];
+    let cases: Vec<Vec<&str>> = vec![
+        vec!["--bogus"],
+        vec!["--host-factor", "banana", "--bogus"],
+        vec!["--host-factor", "banana"],
+        vec!["--host-factor", "0"],
+        vec!["--host-factor", "-2"],
+        vec!["--host-factor", "NaN"],
+        vec!["--host-factor", "inf"],
+        vec!["--scenario", "no_such_scenario"],
+        vec!["--scenario"],
+        vec!["--host-factor"],
+    ];
+    for extra in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_compare"))
+            .args(dirs)
+            .args(extra)
+            .output()
+            .expect("the binary runs");
+        assert_eq!(out.status.code(), Some(2), "bench_compare {extra:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "bench_compare {extra:?} compared: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    // A flag with no value where the directory should be.
+    for args in [vec!["--baseline"], vec!["--baseline", root, "--candidate"]] {
+        let code = exit_code(Command::new(env!("CARGO_BIN_EXE_bench_compare")).args(&args));
+        assert_eq!(code, Some(2), "bench_compare {args:?}");
+    }
 }

@@ -1398,8 +1398,12 @@ impl Agent {
             let am = am.clone();
             let req = req.clone();
             move |eng: &mut Engine, container: rp_yarn::Container| {
-                // Pilot terminated: the UM owns this unit now.
-                let Some(unit) = this.owned(key) else { return };
+                // The attempt was dropped (pilot loss or self-fence): the
+                // UM owns this unit now, and no restart will use the AM.
+                let Some(unit) = this.owned(key) else {
+                    am.finish(eng);
+                    return;
+                };
                 let policy = unit.retry_policy();
                 let attempts = unit.attempts();
                 if attempts >= policy.max_attempts {
@@ -1440,8 +1444,13 @@ impl Agent {
         am.request_container_preemptible(engine, req, retry, move |eng, container| {
             eng.trace.span_end(eng.now(), alloc_span);
             let am = am_for_cb;
-            // Granted after the pilot died: nothing to run any more.
-            let Some(unit) = this.owned(key) else { return };
+            // Granted after the attempt was dropped: nothing to run any
+            // more, so give the container and the AM back.
+            let Some(unit) = this.owned(key) else {
+                am.release_container(eng, container.id);
+                am.finish(eng);
+                return;
+            };
             if unit.state().is_final() {
                 // Canceled while the container was allocated: free it all.
                 am.release_container(eng, container.id);
@@ -1459,7 +1468,14 @@ impl Agent {
             this.run_work(eng, key, &unit, &[(container.node, cores)], move |eng| {
                 if this2.owned(key).is_none() {
                     // This container was preempted (the restart owns the
-                    // unit) or the pilot died (the UM does).
+                    // unit and the AM; the preemption handler finished an
+                    // AM no restart uses) or the attempt was dropped (the
+                    // UM owns the unit): a container still held belongs to
+                    // a dropped attempt, so it goes back with its AM.
+                    if am.holds(container.id) {
+                        am.release_container(eng, container.id);
+                        am.finish(eng);
+                    }
                     return;
                 }
                 am.release_container(eng, container.id);
@@ -1525,8 +1541,14 @@ impl Agent {
         let pilot_id = self.inner.borrow().pilot;
         let spark_cb = spark.clone();
         spark.submit_app(engine, cores, move |eng, result| {
-            // Granted (or refused) after the pilot died: nothing to run.
-            let Some(unit) = this.owned(key) else { return };
+            // Granted (or refused) after the attempt was dropped: nothing
+            // to run, so give the executor cores back.
+            let Some(unit) = this.owned(key) else {
+                if let Ok((app_id, _)) = result {
+                    spark_cb.finish_app(eng, app_id);
+                }
+                return;
+            };
             match result {
                 Ok((app_id, grants)) => {
                     if unit.state().is_final() {
@@ -1547,7 +1569,9 @@ impl Agent {
                     eng.schedule_in(dur, move |eng| {
                         if this.owned(key).is_none() {
                             // Killed mid-run: abandon the compute span open
-                            // (kill semantics) and leave the unit to the UM.
+                            // (kill semantics), leave the unit to the UM and
+                            // give the executor cores back.
+                            spark.finish_app(eng, app_id);
                             return;
                         }
                         eng.trace.span_end(eng.now(), span);

@@ -512,7 +512,6 @@ impl CoordinationStore {
                     if stale {
                         this.inner.borrow_mut().fence_rejections += 1;
                         eng.metrics.incr("coordination.fence_rejections");
-                        eng.telemetry.note_fence_rejection();
                         eng.trace.record(
                             eng.now(),
                             "store",
@@ -520,12 +519,6 @@ impl CoordinationStore {
                         );
                         return;
                     }
-                }
-                if eng.telemetry.is_enabled() {
-                    // Flight-recorder high-water sample of the dedup
-                    // backlog; write-only observation, never read back.
-                    let depth = this.inner.borrow().applied_above.len();
-                    eng.telemetry.sample_coord_backlog(depth);
                 }
                 let now = eng.now();
                 if let Some(log) = this.inner.borrow_mut().effect_log.as_mut() {
@@ -845,7 +838,6 @@ impl CoordinationStore {
             inner.partition_windows += 1;
         }
         engine.metrics.incr("coordination.partition_windows");
-        engine.telemetry.note_partition_window();
         let kind = if symmetric { "symmetric" } else { "asymmetric" };
         engine.trace.record(
             now,
@@ -961,7 +953,6 @@ impl CoordinationStore {
                 inner.audit(LeaseOp::Renew, pilot, now);
                 drop(inner);
                 engine.metrics.incr("coordination.lease_renewals");
-                engine.telemetry.note_lease_renewal();
                 return Some(expires);
             }
             inner.fence_rejections += 1;
@@ -969,7 +960,6 @@ impl CoordinationStore {
         };
         if stale {
             engine.metrics.incr("coordination.fence_rejections");
-            engine.telemetry.note_fence_rejection();
             engine.trace.record(
                 now,
                 "store",

@@ -22,10 +22,6 @@
 //!   examples and the experiment harness. Disabled observability costs
 //!   nothing: recording is a pure no-op, so runs are bit-identical with
 //!   it on or off.
-//! * [`telemetry::EngineTelemetry`] — the engine *flight recorder*:
-//!   host-side-only histograms/counters over apply windows, high-water
-//!   marks and ownership events. The only sim-core module allowed to read
-//!   the wall clock; never consulted by the simulation.
 //!
 //! Components live in `Rc<RefCell<_>>` handles captured by event closures;
 //! one run is one thread (determinism). Parallelism enters only across
@@ -43,7 +39,6 @@ pub mod profile;
 pub mod report;
 pub mod rng;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 pub mod tokens;
 pub mod trace;
@@ -60,8 +55,7 @@ pub use profile::{
 };
 pub use report::RunReport;
 pub use rng::SimRng;
-pub use stats::{Histogram, Summary};
-pub use telemetry::{EngineTelemetry, TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION};
+pub use stats::Summary;
 pub use time::{SimDuration, SimTime};
 pub use tokens::Tokens;
 pub use trace::{

@@ -860,6 +860,17 @@ impl AmHandle {
         self.yarn.ensure_tick(engine);
     }
 
+    /// Whether this application still holds task container `id`: not
+    /// released, preempted, lost with its node or freed with the app.
+    pub fn holds(&self, id: ContainerId) -> bool {
+        self.yarn
+            .inner
+            .borrow()
+            .apps
+            .get(&self.app)
+            .is_some_and(|a| a.containers.contains(&id))
+    }
+
     /// Return one task container to the RM.
     pub fn release_container(&self, engine: &mut Engine, id: ContainerId) {
         {

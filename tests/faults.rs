@@ -436,3 +436,127 @@ fn requeue_backoff_survives_pilot_loss() {
         );
     }
 }
+
+/// Free framework capacity of an Active framework pilot: Spark executor
+/// cores, or YARN vcores.
+fn free_framework_capacity(pilot: &PilotHandle) -> u32 {
+    let agent = pilot.agent().expect("an Active pilot has an agent");
+    match agent.spark_cluster() {
+        Some(spark) => spark.free_cores(),
+        None => {
+            agent
+                .hadoop_env()
+                .expect("YARN pilot")
+                .yarn
+                .available()
+                .vcores
+        }
+    }
+}
+
+/// A framework pilot whose lease lapses in a partition self-fences and
+/// drops its attempts; the Unit-Manager re-binds their units to the plain
+/// pilot. The dropped attempts' grants, completions and (YARN) a
+/// preemption of one of their containers then find their keys stale, and
+/// must still give the Spark executor cores, YARN task containers and AMs
+/// back to the framework: once every unit is Done and the pilot is Active
+/// again after the heal, it has all its capacity.
+#[test]
+fn self_fenced_framework_pilot_gives_back_its_resources() {
+    let lease = SimDuration::from_secs(60);
+    let grace = SimDuration::from_secs(30);
+    let partition = SimDuration::from_secs(600);
+    for access in [
+        AccessMode::SparkModeI,
+        AccessMode::YarnModeI { with_hdfs: false },
+    ] {
+        for seed in 1..=3u64 {
+            let mut e = Engine::new(seed);
+            let session = Session::new(SessionConfig::test_profile());
+            let pm = PilotManager::new(&session);
+            let framework = pm
+                .submit(
+                    &mut e,
+                    PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(14_400))
+                        .with_access(access.clone()),
+                )
+                .unwrap();
+            let plain = pm
+                .submit(
+                    &mut e,
+                    PilotDescription::new("xsede.stampede", 1, SimDuration::from_secs(14_400)),
+                )
+                .unwrap();
+            let mut um = UnitManager::new(&session, UmScheduler::RoundRobin);
+            um.add_pilot(&framework);
+            um.add_pilot(&plain);
+            um.enable_leases(&mut e, lease, grace);
+            while [&framework, &plain]
+                .iter()
+                .any(|p| p.state() != PilotState::Active)
+            {
+                assert!(
+                    e.step(),
+                    "{access:?} seed {seed}: pilots never became Active"
+                );
+            }
+            let capacity = free_framework_capacity(&framework);
+            let cut = e.now() + SimDuration::from_secs(60);
+            let plan = FaultPlan {
+                events: vec![
+                    FaultEvent {
+                        at: cut,
+                        kind: FaultKind::Partition {
+                            pilot: 0,
+                            duration: partition,
+                            symmetric: true,
+                        },
+                    },
+                    // After the self-fence; lands on the framework pilot.
+                    FaultEvent {
+                        at: cut + SimDuration::from_secs(120),
+                        kind: FaultKind::ContainerKill { count: 1 },
+                    },
+                ],
+            };
+            install_faults_multi(&mut e, &plan, &[framework.clone(), plain.clone()]);
+            let units = um.submit_units(
+                &mut e,
+                (0..6)
+                    .map(|i| {
+                        ComputeUnitDescription::new(
+                            format!("s{i}"),
+                            1,
+                            WorkSpec::Sleep(SimDuration::from_secs(300)),
+                        )
+                    })
+                    .collect(),
+            );
+            let healed = cut + partition;
+            while units.iter().any(|u| !u.state().is_final())
+                || e.now() <= healed
+                || framework.state() != PilotState::Active
+            {
+                assert!(e.step(), "{access:?} seed {seed}: simulation stalled");
+            }
+            for u in &units {
+                assert_eq!(
+                    u.state(),
+                    UnitState::Done,
+                    "{access:?} seed {seed}: {:?}",
+                    u.id()
+                );
+            }
+            assert!(
+                um.rebinds() > 0,
+                "{access:?} seed {seed}: the partition must re-bind the framework pilot's units"
+            );
+            assert_eq!(
+                free_framework_capacity(&framework),
+                capacity,
+                "{access:?} seed {seed}: framework capacity leaked by dropped attempts (t = {:?})",
+                e.now()
+            );
+        }
+    }
+}

@@ -14,6 +14,10 @@
 //! deliveries re-arm engine timers, so the longer run must allocate
 //! exactly as much as the shorter one.
 //!
+//! A small untraced Mode I session (YARN+HDFS pilot, a few YARN units and
+//! one MapReduce job) is pinned too, so the framework path has an exact
+//! gate beside the plain-pilot ones.
+//!
 //! After an intended change to the allocation profile, re-pin the
 //! constants from the failure message (it prints the measured values).
 
@@ -225,6 +229,95 @@ fn idle_lease_heartbeats_allocate_nothing() {
     assert_eq!(
         four, LEASE_SESSION_ALLOCS,
         "split-brain lease session: {four} allocations, pinned {LEASE_SESSION_ALLOCS}"
+    );
+}
+
+/// Exact allocations of one untraced Mode I session (see
+/// [`mode1_session`]), from engine creation to the end of the run.
+const MODE1_SESSION_ALLOCS: u64 = 1_211;
+
+/// YARN sleep units in the Mode I session.
+const MODE1_YARN_UNITS: usize = 6;
+
+/// An untraced Mode I session: one 2-node YARN+HDFS pilot runs
+/// `MODE1_YARN_UNITS` one-core sleep units through YARN and one
+/// MapReduce job over a 3-block HDFS file; the pilot is canceled once
+/// every unit is Done. Returns the allocations made from engine creation
+/// on. Descriptions are built beforehand.
+fn mode1_session() -> u64 {
+    let mut descs: Vec<ComputeUnitDescription> = (0..MODE1_YARN_UNITS)
+        .map(|i| {
+            let sleep = SimDuration::from_secs(20 + i as u64 * 5);
+            ComputeUnitDescription::new(format!("y{i}"), 1, WorkSpec::Sleep(sleep))
+        })
+        .collect();
+    descs.push(ComputeUnitDescription::new(
+        "mr",
+        1,
+        WorkSpec::MapReduce(hadoop_hpc::mapreduce::MrJobSpec {
+            name: "mr".into(),
+            input_path: "/in".into(),
+            num_reducers: 2,
+            container: hadoop_hpc::yarn::Resource::new(1, 1024),
+            shuffle: hadoop_hpc::mapreduce::ShuffleBackend::LocalDisk,
+            cost: hadoop_hpc::mapreduce::MrCostModel::default(),
+        }),
+    ));
+    let before = allocs();
+    let mut e = Engine::new(11);
+    let session = Session::new(SessionConfig::test_profile());
+    let pm = PilotManager::new(&session);
+    let pilot = pm
+        .submit(
+            &mut e,
+            PilotDescription::new("xsede.stampede", 2, SimDuration::from_secs(14_400))
+                .with_access(AccessMode::YarnModeI { with_hdfs: true }),
+        )
+        .expect("the Mode I pilot submits");
+    while pilot.state() != PilotState::Active {
+        assert!(e.step(), "the Mode I pilot never became Active");
+    }
+    let hdfs = pilot
+        .agent()
+        .and_then(|a| a.hadoop_env())
+        .and_then(|env| env.hdfs)
+        .expect("the Mode I pilot runs HDFS");
+    hdfs.create_synthetic(
+        "/in",
+        384 * 1024 * 1024,
+        hadoop_hpc::hdfs::StoragePolicy::Default,
+    )
+    .expect("the input file is created");
+    let mut um = UnitManager::new(&session, UmScheduler::Direct);
+    um.add_pilot(&pilot);
+    let handles = um.submit_units(&mut e, descs);
+    let (sess, p) = (session.clone(), pilot.clone());
+    when_all_done(&mut e, &handles, move |eng| {
+        PilotManager::new(&sess).cancel(eng, &p);
+    });
+    e.run();
+    let used = allocs() - before;
+    assert!(
+        handles.iter().all(|u| u.state() == UnitState::Done),
+        "every unit of the Mode I session completes"
+    );
+    assert_eq!(
+        handles.last().and_then(|u| u.mr_stats()).map(|s| s.maps),
+        Some(3),
+        "the MapReduce job ran one map per block"
+    );
+    used
+}
+
+#[test]
+fn untraced_mode1_session_allocations_are_pinned() {
+    mode1_session();
+    let total = mode1_session();
+    let again = mode1_session();
+    assert_eq!(total, again, "allocation counts are deterministic");
+    assert_eq!(
+        total, MODE1_SESSION_ALLOCS,
+        "untraced Mode I session: {total} allocations, pinned {MODE1_SESSION_ALLOCS}"
     );
 }
 
